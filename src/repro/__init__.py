@@ -15,11 +15,11 @@ A full-system reproduction of the HPCA 2025 paper, comprising:
 * :mod:`repro.core` — the :class:`~repro.core.HydraSystem` facade;
 * :mod:`repro.runtime` — the parallel experiment runtime: declarative
   run requests, process-pool fan-out with deterministic merging, the
-  persistent fingerprint-keyed result cache, and run manifests;
+  persistent fingerprint-keyed plan store, and run manifests;
 * :mod:`repro.analysis` — censuses and table rendering for the
   experiment harnesses in ``benchmarks/``;
-* :mod:`repro.backend` — pluggable kernel providers (numpy / numba /
-  numpy-fast) behind the NTT/RNS hot path.
+* :mod:`repro.backend` — pluggable kernel providers (numpy / numba)
+  behind the NTT/RNS hot path.
 """
 
 from repro.core import HydraSystem

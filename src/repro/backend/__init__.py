@@ -16,10 +16,6 @@ Shipped providers:
 ``numba``
     njit-compiled Harvey butterflies, parallel over limbs.  Optional;
     degrades to numpy with a ``RuntimeWarning`` when not installed.
-``numpy-fast``
-    Float64 Shoup-style modular products where the modulus bit-width
-    provably permits exact rounding (FPT-inspired reduced precision);
-    falls back to the exact kernel per-chain otherwise.
 
 Every future order-of-magnitude engine (C extension, GPU) registers
 here via :func:`register_backend` and inherits the whole dataflow.
@@ -27,11 +23,6 @@ here via :func:`register_backend` and inherits the whole dataflow.
 
 from repro.backend.numba_backend import NumbaProvider
 from repro.backend.numpy_backend import NumpyProvider
-from repro.backend.numpy_fast import (
-    MAX_FAST_MODULUS_BITS,
-    FastNttKernel,
-    NumpyFastProvider,
-)
 from repro.backend.provider import BackendUnavailable, KernelProvider
 from repro.backend.registry import (
     available_backends,
@@ -47,11 +38,8 @@ from repro.backend.registry import (
 
 __all__ = [
     "BackendUnavailable",
-    "FastNttKernel",
     "KernelProvider",
-    "MAX_FAST_MODULUS_BITS",
     "NumbaProvider",
-    "NumpyFastProvider",
     "NumpyProvider",
     "available_backends",
     "backend_names",
@@ -66,4 +54,3 @@ __all__ = [
 
 register_backend(NumpyProvider)
 register_backend(NumbaProvider)
-register_backend(NumpyFastProvider)

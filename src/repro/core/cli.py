@@ -377,7 +377,11 @@ def _cmd_list(_args, out):
 
 
 def _cmd_run(args, out):
-    system = HydraSystem.named(args.system, backend=args.backend)
+    try:
+        system = HydraSystem.named(args.system, backend=args.backend)
+    except ValueError as exc:
+        out(f"error: {exc}")
+        return 2
     result = system.run(args.benchmark, with_energy=not args.no_energy)
     out(f"{args.benchmark} on {args.system} "
         f"({system.total_cards} cards)")
@@ -395,14 +399,18 @@ def _cmd_run(args, out):
 def _cmd_bench(args, out):
     import json as _json
 
-    from repro.runtime import DiskCache, execute, paper_grid
+    from repro.runtime import SqlitePlanStore, execute, paper_grid
 
     requests = paper_grid(
         systems=args.systems,
         benchmarks=args.benchmarks,
         with_energy=not args.no_energy,
     )
-    cache = None if args.no_cache else DiskCache(args.cache_dir)
+    try:
+        cache = None if args.no_cache else SqlitePlanStore(args.cache_dir)
+    except ValueError as exc:
+        out(f"error: {exc}")
+        return 2
     outcome = execute(requests, jobs=args.jobs, cache=cache,
                       use_cache=not args.no_cache)
     manifest = outcome.manifest

@@ -17,7 +17,7 @@ calibration, planner rounds, code version — see
 modelled quantity never serve each other's results.  By default all
 ``HydraSystem`` instances share the process-wide
 :func:`repro.runtime.default_cache`; pass ``cache=`` to isolate, or use
-:class:`repro.runtime.DiskCache` for persistence across processes.
+:class:`repro.runtime.SqlitePlanStore` for persistence across processes.
 ``backend=`` selects the kernel provider (:mod:`repro.backend`) and is
 part of the cache key.
 

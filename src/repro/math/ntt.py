@@ -166,15 +166,6 @@ class NttKernel:
 
     # ------------------------------------------------------------------
 
-    def _mulmod(self, x, y, q):
-        """Modular product hook: subclasses swap in faster datapaths.
-
-        Operands may be lazily reduced (``< 2q``); the result must be the
-        canonical residue in ``[0, q)`` so stage outputs stay
-        byte-identical across providers.
-        """
-        return x * y % q
-
     def forward(self, data: np.ndarray, reduce_output: bool = True):
         """Cooley-Tukey forward pass over a ``(limbs, N)`` stack."""
         limbs, n = data.shape
@@ -190,7 +181,7 @@ class NttKernel:
             u = blk[:, :, 0]
             v = blk[:, :, 1]
             uh = np.minimum(u, u - q2)          # exact reduce to [0, q)
-            vr = self._mulmod(v, tw, q2)        # v < 2q, tw < q: fits u64
+            vr = v * tw % q2                    # v < 2q, tw < q: fits u64
             blk[:, :, 0] = uh + vr              # < 2q
             blk[:, :, 1] = uh + (q2 - vr)       # < 2q
             m *= 2
@@ -209,7 +200,7 @@ class NttKernel:
             u = blk[:, :, 0]
             v = blk[:, :, 1]
             uh = np.minimum(u, u - q3)
-            vr = self._mulmod(v, tw, q3)
+            vr = v * tw % q3
             blk[:, :, 0] = uh + vr
             blk[:, :, 1] = uh + (q3 - vr)
         return c_arr.transpose(0, 2, 1).copy().reshape(limbs, n)
@@ -238,10 +229,10 @@ class NttKernel:
             uh = np.minimum(u, u - q2)
             vh = np.minimum(v, v - q2)
             blk[:, :, 0] = uh + vh                          # < 2q
-            blk[:, :, 1] = self._mulmod(uh + q2 - vh, tw, q2)  # < q
+            blk[:, :, 1] = (uh + q2 - vh) * tw % q2  # < q
             t *= 2
             m //= 2
-        return self._mulmod(a, self._n_inv, self._q1)
+        return a * self._n_inv % self._q1
 
     def _inverse_transposed(self, a, limbs, n):
         m0 = n // _PHASE_SPLIT
@@ -254,7 +245,7 @@ class NttKernel:
             uh = np.minimum(u, u - q3)
             vh = np.minimum(v, v - q3)
             blk[:, :, 0] = uh + vh
-            blk[:, :, 1] = self._mulmod(uh + q3 - vh, tw, q3)
+            blk[:, :, 1] = (uh + q3 - vh) * tw % q3
         return c_arr.transpose(0, 2, 1).copy().reshape(limbs, n)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray):
@@ -262,7 +253,7 @@ class NttKernel:
         fa = self.forward(a, reduce_output=False)
         fb = self.forward(b, reduce_output=False)
         # fa, fb < 2q < 2**32, so the pointwise product fits in uint64.
-        return self.inverse(self._mulmod(fa, fb, self._q1))
+        return self.inverse(fa * fb % self._q1)
 
 
 class NttContext:

@@ -95,7 +95,6 @@ from repro.serve.queueing import (
 from repro.serve.report import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_LLM,
-    percentile,
     render_report,
 )
 from repro.serve.scenario import (
@@ -151,7 +150,6 @@ __all__ = [
     "load_scenario",
     "make_autoscale_policy",
     "make_policy",
-    "percentile",
     "plan_capacity",
     "prepare_profiles",
     "render_capacity_report",

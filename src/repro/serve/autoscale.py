@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """The scenario's ``autoscale`` block (see scenario schema v2).
+    """The scenario's ``autoscale`` block.
 
     ``cluster`` is the shape of elastic replicas (a fleet-entry string:
     registry name or ``hydra-SxC`` shorthand); ``fleets`` restricts the

@@ -95,7 +95,7 @@ class ServiceProfile:
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    """The scenario's ``routing`` block (scenario schema v2)."""
+    """The scenario's ``routing`` block."""
 
     mode: str = "greedy"
     #: required slack between a routed batch's completion and its

@@ -52,7 +52,6 @@ from repro.analysis.tables import format_table
 from repro.obs.streaming import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_RELATIVE_ACCURACY,
-    nearest_rank,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "REPORT_SCHEMA_LLM",
     "build_fleet_report",
     "build_report",
-    "percentile",
     "render_report",
 ]
 
@@ -73,16 +71,6 @@ REPORT_SCHEMA_LLM = "repro.serve/v4"
 
 #: Queue-depth series entries kept in an ``--exact`` report.
 _MAX_DEPTH_SAMPLES = 120
-
-
-def percentile(sorted_values, q):
-    """Nearest-rank percentile of pre-sorted ``sorted_values``.
-
-    Deterministic (no interpolation); returns None on empty input.
-    Kept as the serve-level alias of :func:`repro.obs.nearest_rank` —
-    the reference the streamed quantiles are tested against.
-    """
-    return nearest_rank(sorted_values, q)
 
 
 def _depth_series(series):

@@ -7,7 +7,7 @@ experiment:
 .. code-block:: json
 
     {
-      "schema": "repro.serve.scenario/v2",
+      "schema": "repro.serve.scenario/v3",
       "name": "steady_hydra_m",
       "duration_seconds": 240.0,
       "seed": 2024,
@@ -34,15 +34,14 @@ numeric knob is part of the runtime cache fingerprint chain, so two
 scenarios that differ in any modelled quantity never share planned
 service profiles by accident.
 
-Schema v2 adds the optional ``routing`` block (SLO-aware fleet routing,
-:class:`~repro.serve.dispatch.RoutingConfig`) and ``autoscale`` block
-(elastic replica pools, :class:`~repro.serve.autoscale.AutoscaleConfig`)
-plus the diurnal/flash/mmpp arrival processes.  Schema v3 adds
-``kind: llm`` tenants — autoregressive transformer sessions with
-seeded ``prompt_tokens`` / ``output_tokens`` distributions (see
-:mod:`repro.llm`) — and ``routing.session_affinity``.  v1/v2 documents
-still load; committed scenario files must be on the current version
-(``repro serve --validate-scenarios`` enforces this).
+The optional ``routing`` block configures SLO-aware fleet routing and
+session affinity (:class:`~repro.serve.dispatch.RoutingConfig`), the
+``autoscale`` block elastic replica pools
+(:class:`~repro.serve.autoscale.AutoscaleConfig`).  ``kind: llm``
+tenants are autoregressive transformer sessions with seeded
+``prompt_tokens`` / ``output_tokens`` distributions (see
+:mod:`repro.llm`).  Only the current schema loads; any other
+``schema`` value is rejected with a :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.dispatch import RoutingConfig
 
 __all__ = [
-    "LEGACY_SCENARIO_SCHEMAS",
     "SCENARIO_SCHEMA",
     "SCENARIOS_DIR",
     "BatchConfig",
@@ -75,14 +73,6 @@ __all__ = [
 ]
 
 SCENARIO_SCHEMA = "repro.serve.scenario/v3"
-
-#: Older scenario schema versions :meth:`Scenario.from_dict` still
-#: accepts from user files.  Committed files must be on the current
-#: version (see :func:`validate_scenario_files`).
-LEGACY_SCENARIO_SCHEMAS = (
-    "repro.serve.scenario/v1",
-    "repro.serve.scenario/v2",
-)
 
 _TENANT_KINDS = ("cnn", "llm")
 
@@ -447,32 +437,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data, source="scenario"):
+        if not isinstance(data, dict):
+            raise ValueError(f"{source}: scenario must be a JSON object")
         schema = data.get("schema")
-        if schema not in (SCENARIO_SCHEMA, *LEGACY_SCENARIO_SCHEMAS):
+        if schema != SCENARIO_SCHEMA:
             raise ValueError(
                 f"{source}: unsupported scenario schema {schema!r} "
                 f"(expected {SCENARIO_SCHEMA!r})"
             )
-        if schema == "repro.serve.scenario/v1":
-            v2_only = sorted(k for k in ("routing", "autoscale")
-                             if k in data)
-            if v2_only:
-                raise ValueError(
-                    f"{source}: {v2_only} need scenario schema "
-                    f"repro.serve.scenario/v2 or later, not {schema!r}"
-                )
-        if schema in LEGACY_SCENARIO_SCHEMAS:
-            v3_only = sorted(
-                k for k in ("kind", "prompt_tokens", "output_tokens")
-                for t in data.get("tenants", ()) if k in t
-            )
-            if "session_affinity" in data.get("routing", {}):
-                v3_only.append("routing.session_affinity")
-            if v3_only:
-                raise ValueError(
-                    f"{source}: {sorted(set(v3_only))} need scenario "
-                    f"schema {SCENARIO_SCHEMA!r}, not {schema!r}"
-                )
         batch = BatchConfig(**data.get("batch", {}))
         overheads = Overheads(**data.get("overheads", {}))
         telemetry = TelemetryConfig(**data.get("telemetry", {}))
@@ -560,12 +532,11 @@ def load_scenario(ref):
 def validate_scenario_files(directory=None):
     """Lint every scenario JSON under ``directory`` (CI gate).
 
-    Stricter than :func:`load_scenario`: committed files must declare
-    the *current* schema version (catching v1/v2 drift before it rots),
-    must pass full :meth:`Scenario.from_dict` validation, and must
-    round-trip through ``to_dict`` without losing fields the loader
-    understands.  Returns a list of ``(filename, error_or_None)`` rows,
-    one per file, sorted by name.
+    Stricter than :func:`load_scenario`: committed files must pass full
+    :meth:`Scenario.from_dict` validation, be named after their file
+    stem, and round-trip through ``to_dict`` without losing fields the
+    loader understands.  Returns a list of ``(filename, error_or_None)``
+    rows, one per file, sorted by name.
     """
     directory = Path(SCENARIOS_DIR if directory is None else directory)
     rows = []
@@ -573,12 +544,6 @@ def validate_scenario_files(directory=None):
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            schema = data.get("schema")
-            if schema != SCENARIO_SCHEMA:
-                raise ValueError(
-                    f"committed scenarios must use schema "
-                    f"{SCENARIO_SCHEMA!r}, found {schema!r}"
-                )
             scenario = Scenario.from_dict(data, source=path.name)
             if scenario.name != path.stem:
                 raise ValueError(

@@ -15,8 +15,6 @@ import pytest
 
 import repro.backend as backend_mod
 from repro.backend import (
-    MAX_FAST_MODULUS_BITS,
-    FastNttKernel,
     KernelProvider,
     NumpyProvider,
     available_backends,
@@ -29,7 +27,6 @@ from repro.backend import (
     resolve_backend_name,
     use_backend,
 )
-from repro.backend.numpy_fast import _float_mulmod
 from repro.math.ntt import NttContext, NttKernel, clear_ntt_caches
 from repro.math.primes import find_ntt_primes
 
@@ -41,8 +38,32 @@ needs_numba = pytest.mark.skipif(
 
 
 def _narrow_primes(degree, count=2):
-    """NTT-friendly primes within the numpy-fast exactness bound."""
-    return find_ntt_primes(degree, MAX_FAST_MODULUS_BITS, count)
+    """NTT-friendly 25-bit primes, well inside the lazy-reduction bound."""
+    return find_ntt_primes(degree, 25, count)
+
+
+class _AltKernel(NttKernel):
+    """Reference arithmetic under its own class, to tell providers apart."""
+
+
+class _AltProvider(NumpyProvider):
+    """A second provider for the registry tests: numpy under another name."""
+
+    name = "numpy-alt"
+
+    def make_kernel(self, poly_degree, moduli):
+        contexts = tuple(self.get_context(poly_degree, q) for q in moduli)
+        return _AltKernel(poly_degree, moduli=moduli, contexts=contexts)
+
+
+@pytest.fixture
+def alt(monkeypatch):
+    """Register :class:`_AltProvider` for one test; returns its name."""
+    registry = backend_mod.registry
+    monkeypatch.setitem(registry._REGISTRY, _AltProvider.name, _AltProvider)
+    monkeypatch.setitem(registry._INSTANCES, _AltProvider.name,
+                        _AltProvider())
+    return _AltProvider.name
 
 
 def _random_stack(rng, moduli, degree):
@@ -61,7 +82,7 @@ class TestRegistry:
     def test_all_shipped_backends_registered(self):
         names = backend_names()
         assert names[0] == "numpy"
-        assert {"numpy", "numba", "numpy-fast"} <= set(names)
+        assert {"numpy", "numba"} <= set(names)
 
     def test_get_backend_is_a_singleton(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -103,30 +124,30 @@ class TestSelectionPrecedence:
         assert resolve_backend_name(None) == "numpy"
         assert resolve_backend(None) is get_backend("numpy")
 
-    def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-fast")
-        assert default_backend_name() == "numpy-fast"
-        assert resolve_backend_name(None) == "numpy-fast"
+    def test_env_var_sets_the_default(self, monkeypatch, alt):
+        monkeypatch.setenv("REPRO_BACKEND", alt)
+        assert default_backend_name() == alt
+        assert resolve_backend_name(None) == alt
 
     def test_env_var_must_name_a_registered_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
         with pytest.raises(KeyError):
             default_backend_name()
 
-    def test_scope_beats_env(self, monkeypatch):
+    def test_scope_beats_env(self, monkeypatch, alt):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with use_backend("numpy-fast"):
-            assert default_backend_name() == "numpy-fast"
+        with use_backend(alt):
+            assert default_backend_name() == alt
         assert default_backend_name() == "numpy"
 
-    def test_scopes_nest_innermost_wins(self):
-        with use_backend("numpy-fast"):
+    def test_scopes_nest_innermost_wins(self, alt):
+        with use_backend(alt):
             with use_backend("numpy"):
                 assert default_backend_name() == "numpy"
-            assert default_backend_name() == "numpy-fast"
+            assert default_backend_name() == alt
 
-    def test_explicit_instance_beats_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-fast")
+    def test_explicit_instance_beats_everything(self, monkeypatch, alt):
+        monkeypatch.setenv("REPRO_BACKEND", alt)
         provider = get_backend("numpy")
         assert resolve_backend_name(provider) == "numpy"
         assert resolve_backend(provider) is provider
@@ -138,33 +159,27 @@ class TestSelectionPrecedence:
 
 
 class TestProviderScopedCaches:
-    def test_backends_never_share_cached_tables(self):
+    def test_backends_never_share_cached_tables(self, alt):
         q = _narrow_primes(64, 1)[0]
         ref = get_backend("numpy").get_context(64, q)
-        fast = get_backend("numpy-fast").get_context(64, q)
-        assert ref is not fast
+        other = get_backend(alt).get_context(64, q)
+        assert ref is not other
         assert get_backend("numpy").get_context(64, q) is ref
-        assert get_backend("numpy-fast").get_context(64, q) is fast
+        assert get_backend(alt).get_context(64, q) is other
 
-    def test_kernel_class_matches_the_provider(self):
+    def test_kernel_class_matches_the_provider(self, alt):
         q = _narrow_primes(64, 1)[0]
         ref = get_backend("numpy").get_kernel(64, (q,))
-        fast = get_backend("numpy-fast").get_kernel(64, (q,))
+        other = get_backend(alt).get_kernel(64, (q,))
         assert type(ref) is NttKernel
-        assert type(fast) is FastNttKernel
-        assert get_backend("numpy-fast").get_context(64, q).kernel is fast
+        assert type(other) is _AltKernel
+        assert get_backend(alt).get_context(64, q).kernel is other
 
-    def test_wide_moduli_fall_back_to_the_exact_kernel(self):
-        wide = find_ntt_primes(64, 30, 1)[0]
-        assert wide.bit_length() > MAX_FAST_MODULUS_BITS
-        kernel = get_backend("numpy-fast").get_kernel(64, (wide,))
-        assert type(kernel) is NttKernel
-
-    def test_clear_caches_empties_every_provider(self):
+    def test_clear_caches_empties_every_provider(self, alt):
         q = _narrow_primes(64, 1)[0]
         before = {
             name: get_backend(name).get_context(64, q)
-            for name in ("numpy", "numpy-fast")
+            for name in ("numpy", alt)
         }
         clear_caches()
         for name, ctx in before.items():
@@ -198,11 +213,11 @@ class TestKeywordOnlyConstructors:
 
 
 # ----------------------------------------------------------------------
-# Byte parity: numpy-fast (and numba when present) vs the reference
+# Byte parity: numba (when installed) vs the reference
 # ----------------------------------------------------------------------
 
 
-PARITY_BACKENDS = ["numpy-fast"] + (["numba"] if HAVE_NUMBA else [])
+PARITY_BACKENDS = [pytest.param("numba", marks=needs_numba)]
 
 
 @pytest.mark.parametrize("name", PARITY_BACKENDS)
@@ -256,22 +271,6 @@ class TestKernelParity:
         )
 
 
-class TestFloatMulmodExactness:
-    def test_worst_case_lazy_operands_are_exact(self):
-        """Products of values just under 2q at the widest permitted q."""
-        q = np.uint64((1 << MAX_FAST_MODULUS_BITS) - 39)
-        top = int(2 * q) - 1
-        rng = np.random.default_rng(1)
-        x = rng.integers(top - 1024, top + 1, 4096, dtype=np.uint64)
-        y = rng.integers(top - 1024, top + 1, 4096, dtype=np.uint64)
-        assert np.array_equal(_float_mulmod(x, y, q), x * y % q)
-
-    def test_numpy_fast_reports_available(self):
-        ok, detail = available_backends()["numpy-fast"]
-        assert ok
-        assert str(MAX_FAST_MODULUS_BITS) in detail
-
-
 def _convbn_ciphertext(backend_name):
     """Run one full ConvBN layer under ``backend_name``; return the ct.
 
@@ -287,8 +286,6 @@ def _convbn_ciphertext(backend_name):
     )
     from repro.ckks.convolution import Conv2d, pack_image
 
-    # Every modulus must clear the numpy-fast precision bound, so the
-    # fast path (not the exact fallback) is what parity exercises.
     params = CkksParameters(
         poly_degree=64,
         first_modulus_bits=24,
@@ -342,22 +339,22 @@ class TestBackendFingerprints:
         }
         assert len(digests) == len(backend_names())
 
-    def test_system_run_keys_differ_per_backend(self):
+    def test_system_run_keys_differ_per_backend(self, alt):
         from repro.core import HydraSystem
 
         keys = {
             HydraSystem.hydra_s(backend=name).run_key("resnet18")
-            for name in ("numpy", "numpy-fast", "numba")
+            for name in ("numpy", alt, "numba")
         }
         assert len(keys) == 3
 
-    def test_request_key_matches_system_key(self):
+    def test_request_key_matches_system_key(self, alt):
         from repro.core import HydraSystem
         from repro.runtime import RunRequest
 
         request = RunRequest(benchmark="resnet18", system="Hydra-S",
-                             backend="numpy-fast")
-        system = HydraSystem.named("Hydra-S", backend="numpy-fast")
+                             backend=alt)
+        system = HydraSystem.named("Hydra-S", backend=alt)
         assert request.key() == system.run_key("resnet18")
         assert request.key() != RunRequest(
             benchmark="resnet18", system="Hydra-S").key()
@@ -399,12 +396,12 @@ class TestCli:
             assert name in out.text
         assert "default: numpy" in out.text
 
-    def test_run_accepts_backend_flag(self):
+    def test_run_accepts_backend_flag(self, alt):
         from repro.core.cli import main
 
         out = _Capture()
         code = main(["run", "-s", "Hydra-S", "-b", "resnet18",
-                     "--no-energy", "--backend", "numpy-fast"], out=out)
+                     "--no-energy", "--backend", alt], out=out)
         assert code == 0
         assert "total time" in out.text
 
@@ -417,12 +414,12 @@ class TestPerfSuiteBackend:
         assert report["backend"] == "numpy"
         assert "rns.add.n4096x5" in report["workloads"]
 
-    def test_non_default_backend_suffixes_labels(self):
+    def test_non_default_backend_suffixes_labels(self, alt):
         from repro.perf import run_suite, validate_report
 
         report = run_suite(names=["rns.add.n4096x5"], warmup=0, repeats=1,
-                           backend="numpy-fast")
-        assert report["backend"] == "numpy-fast"
-        assert "rns.add.n4096x5@numpy-fast" in report["workloads"]
+                           backend=alt)
+        assert report["backend"] == alt
+        assert f"rns.add.n4096x5@{alt}" in report["workloads"]
         assert "rns.add.n4096x5" not in report["workloads"]
         validate_report(report)

@@ -1,6 +1,7 @@
-"""The sqlite plan store: round-trip fidelity, legacy JSON migration,
-and — the part the old DiskCache could not promise — cross-process
-write exclusion and compile-once semantics under concurrent servers."""
+"""The sqlite plan store: round-trip fidelity, one store shared by
+``repro bench`` / ``repro run``, clean errors on an unreadable database,
+and cross-process write exclusion and compile-once semantics under
+concurrent servers."""
 
 import json
 import os
@@ -14,7 +15,14 @@ import pytest
 import repro
 from repro.hw import hydra_cluster
 from repro.models import resnet18
-from repro.runtime import DiskCache, SqlitePlanStore
+from repro.runtime import (
+    MemoryCache,
+    RunRequest,
+    SqlitePlanStore,
+    default_cache,
+    default_cache_dir,
+    set_default_cache,
+)
 from repro.sched.planner import Planner
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -46,7 +54,10 @@ class TestSqlitePlanStore:
         assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(
             result.to_dict(), sort_keys=True
         )
+        # Full structure survives: per-node stats, energy, components.
         assert loaded.total_seconds == result.total_seconds
+        assert loaded.sim.num_nodes == result.sim.num_nodes
+        assert loaded.energy.total == result.energy.total
         assert (loaded.sim.components_total.to_dict()
                 == result.sim.components_total.to_dict())
 
@@ -101,34 +112,68 @@ class TestSqlitePlanStore:
                 pass  # distinct keys never deadlock
 
 
-class TestLegacyMigration:
-    def test_json_entries_migrate_read_only(self, tmp_path, result):
-        legacy = DiskCache(tmp_path)
-        legacy.put("old-key", result)
-        json_files = sorted(tmp_path.glob("*.json"))
-        assert json_files
+    def test_env_var_controls_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert default_cache_dir() == tmp_path / "env"
+        assert SqlitePlanStore().directory == tmp_path / "env"
 
-        store = SqlitePlanStore(tmp_path, memory=False)
-        loaded = store.get("old-key")
-        assert loaded is not None
-        assert loaded.total_seconds == result.total_seconds
-        # Read-only shim: the JSON files are still there, untouched.
-        assert sorted(tmp_path.glob("*.json")) == json_files
+    def test_default_cache_honors_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        set_default_cache(None)
+        try:
+            assert isinstance(default_cache(), SqlitePlanStore)
+        finally:
+            set_default_cache(None)
+            monkeypatch.delenv("REPRO_CACHE_DIR")
+            assert isinstance(default_cache(), MemoryCache)
 
-    def test_migration_runs_once(self, tmp_path, result):
-        DiskCache(tmp_path).put("old-key", result)
+    def test_unreadable_database_is_a_value_error(self, tmp_path):
+        (tmp_path / "plans.sqlite").write_text("not a database")
+        with pytest.raises(ValueError, match="plans.sqlite"):
+            SqlitePlanStore(tmp_path)
+
+
+class _Lines(list):
+    def __call__(self, text=""):
+        self.append(str(text))
+
+
+class TestCliSharesTheStore:
+    def test_bench_results_are_hits_for_run(self, tmp_path):
+        from repro.core import HydraSystem
+        from repro.core.cli import main
+
+        SqlitePlanStore(tmp_path)  # the directory already holds a store
+        out = _Lines()
+        assert main(["bench", "-s", "Hydra-S", "-b", "resnet18",
+                     "--no-energy", "--cache-dir", str(tmp_path)],
+                    out=out) == 0
+        key = RunRequest(benchmark="resnet18", system="Hydra-S",
+                         with_energy=False).key()
         store = SqlitePlanStore(tmp_path)
-        store.clear()
-        # Legacy files remain on disk, but a cleared store must not
-        # resurrect them on reopen — migration is a one-shot import.
-        assert SqlitePlanStore(tmp_path).get("old-key") is None
+        assert key in store
+        system = HydraSystem.named("Hydra-S", cache=store)
+        system.run("resnet18", with_energy=False)
+        assert (store.stats.hits, store.stats.misses) == (1, 0)
 
-    def test_sqlite_wins_over_legacy_for_fresh_puts(self, tmp_path, result):
-        DiskCache(tmp_path).put("k", result)
-        store = SqlitePlanStore(tmp_path, memory=False)
-        assert "k" in store
-        store.put("new-key", result)
-        assert "new-key" in SqlitePlanStore(tmp_path, memory=False)
+    def test_unreadable_store_is_one_error_line(self, tmp_path,
+                                                 monkeypatch):
+        from repro.core.cli import main
+
+        db = tmp_path / "plans.sqlite"
+        db.write_text("not a database")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        set_default_cache(None)
+        try:
+            for argv in (["run", "-s", "Hydra-S", "-b", "resnet18"],
+                         ["bench", "-s", "Hydra-S", "-b", "resnet18",
+                          "--cache-dir", str(tmp_path)]):
+                out = _Lines()
+                assert main(argv, out=out) == 2
+                assert len(out) == 1
+                assert out[0].startswith("error: ") and str(db) in out[0]
+        finally:
+            set_default_cache(None)
 
 
 # Two processes hammer the same key (plus private keys) with raw puts;

@@ -1,5 +1,5 @@
-"""Result caches: stats, disk round-trip fidelity, invalidation, and
-cross-process persistence of the JSON cache."""
+"""Result caches: memory-cache stats, and invalidation and
+cross-process persistence through the sqlite plan store."""
 
 import json
 import os
@@ -12,15 +12,7 @@ import pytest
 import repro
 from repro.hw import hydra_cluster
 from repro.models import resnet18
-from repro.runtime import (
-    DiskCache,
-    MemoryCache,
-    RunRequest,
-    SqlitePlanStore,
-    default_cache,
-    default_cache_dir,
-    set_default_cache,
-)
+from repro.runtime import MemoryCache, RunRequest, SqlitePlanStore
 from repro.sched.planner import Planner
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -53,71 +45,13 @@ class TestMemoryCache:
         assert "k" not in cache and len(cache) == 0
 
 
-class TestDiskCache:
-    def test_roundtrip_is_exact(self, tmp_path, result):
-        cache = DiskCache(tmp_path)
-        cache.put("k", result)
-        # A second instance must re-read from disk, not memory.
-        loaded = DiskCache(tmp_path).get("k")
-        assert loaded is not result
-        assert loaded.total_seconds == result.total_seconds
-        assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(
-            result.to_dict(), sort_keys=True
-        )
-        # Full structure survives: per-node stats, energy, components.
-        assert loaded.sim.num_nodes == result.sim.num_nodes
-        assert loaded.energy.total == result.energy.total
-        assert (loaded.sim.components_total.to_dict()
-                == result.sim.components_total.to_dict())
-
-    def test_memory_layer_serves_same_object(self, tmp_path, result):
-        cache = DiskCache(tmp_path)
-        cache.put("k", result)
-        assert cache.get("k") is cache.get("k")
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path, result):
-        cache = DiskCache(tmp_path, memory=False)
-        cache.put("k", result)
-        (tmp_path / "k.json").write_text("{not json", encoding="utf-8")
-        assert cache.get("k") is None
-
-    def test_unknown_format_is_a_miss(self, tmp_path):
-        (tmp_path / "k.json").write_text(
-            json.dumps({"format": 999, "result": {}}), encoding="utf-8"
-        )
-        assert DiskCache(tmp_path, memory=False).get("k") is None
-
-    def test_clear_removes_entries(self, tmp_path, result):
-        cache = DiskCache(tmp_path)
-        cache.put("a", result)
-        cache.put("b", result)
-        assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_env_var_controls_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        assert default_cache_dir() == tmp_path / "env"
-        assert DiskCache().directory == tmp_path / "env"
-
-    def test_default_cache_honors_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        set_default_cache(None)
-        try:
-            assert isinstance(default_cache(), SqlitePlanStore)
-        finally:
-            set_default_cache(None)
-            monkeypatch.delenv("REPRO_CACHE_DIR")
-            assert isinstance(default_cache(), MemoryCache)
-
-
 _SUBPROCESS_SCRIPT = """
 import json
-from repro.runtime import DiskCache, RunRequest, execute
+from repro.runtime import RunRequest, SqlitePlanStore, execute
 
 request = RunRequest(benchmark="resnet18", system="Hydra-S",
                      with_energy=False)
-outcome = execute([request], jobs=1, cache=DiskCache())
+outcome = execute([request], jobs=1, cache=SqlitePlanStore())
 manifest = outcome.manifest
 print(json.dumps({
     "hits": manifest.hits,
@@ -154,7 +88,7 @@ class TestInvalidationThroughRequests:
 
         from repro.cost.calibration import DEFAULT_CALIBRATION
 
-        cache = DiskCache(tmp_path)
+        cache = SqlitePlanStore(tmp_path)
         base = RunRequest(benchmark="resnet18", system="Hydra-S",
                           with_energy=False)
         scales = dict(DEFAULT_CALIBRATION.work_scale)

@@ -7,7 +7,7 @@ Four layers of coverage for ``kind: llm`` tenants:
 * pure bookkeeping — KV level budgets, recharge cadence, and the seeded
   token-count sampler;
 * scenario schema v3 lint — the loader's error vocabulary and the
-  legacy-version gates;
+  rejection of old schema versions and non-object documents;
 * end-to-end reports — ``repro.serve/v4`` byte-determinism for
   ``llm_mixed`` (in-process and across CLI ``--jobs``/restart/warm-cache
   invocations), the pinned session-affinity result on
@@ -267,20 +267,15 @@ class TestScenarioLint:
                            match="deadline_seconds must be positive"):
             Scenario.from_dict(doc)
 
-    @pytest.mark.parametrize("legacy", ["repro.serve.scenario/v1",
-                                        "repro.serve.scenario/v2"])
-    def test_legacy_schemas_reject_llm_tenants(self, legacy):
-        with pytest.raises(ValueError, match="need scenario schema "
-                                             "'repro.serve.scenario/v3'"):
-            Scenario.from_dict(_scenario_doc(schema=legacy))
-
-    def test_legacy_schemas_reject_session_affinity(self):
-        doc = _scenario_doc(
-            schema="repro.serve.scenario/v2",
-            routing={"mode": "greedy", "session_affinity": False},
-            tenants=[{"name": "cnn", "model": "resnet18"}])
-        with pytest.raises(ValueError,
-                           match="routing.session_affinity"):
+    @pytest.mark.parametrize("doc, match", [
+        (_scenario_doc(schema="repro.serve.scenario/v1"),
+         "unsupported scenario schema 'repro.serve.scenario/v1'"),
+        (_scenario_doc(schema="repro.serve.scenario/v2"),
+         "unsupported scenario schema 'repro.serve.scenario/v2'"),
+        ([1, 2], "scenario must be a JSON object"),
+    ], ids=["v1", "v2", "non-object"])
+    def test_old_schemas_and_non_objects_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
             Scenario.from_dict(doc)
 
     def test_cnn_tenants_reject_token_specs(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs import nearest_rank
 from repro.serve import (
     AdmissionQueue,
     Request,
@@ -13,7 +14,6 @@ from repro.serve import (
     generate_arrivals,
     load_scenario,
     make_policy,
-    percentile,
     resolve_fleet_cluster,
 )
 from repro.serve.scenario import BatchConfig
@@ -201,9 +201,9 @@ class TestQueueing:
 class TestPercentile:
     def test_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 50) == 2.0
-        assert percentile(values, 95) == 4.0
-        assert percentile([7.0], 99) == 7.0
+        assert nearest_rank(values, 50) == 2.0
+        assert nearest_rank(values, 95) == 4.0
+        assert nearest_rank([7.0], 99) == 7.0
 
     def test_batch_config_validation(self):
         with pytest.raises(ValueError):
