@@ -1,8 +1,10 @@
-"""Result caches: memory-cache stats, and invalidation and
-cross-process persistence through the sqlite plan store."""
+"""Result caches: memory-cache stats, the on-disk cache behind
+``$REPRO_CACHE_DIR``, and invalidation and cross-process persistence
+through the sqlite plan store."""
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,12 @@ import pytest
 import repro
 from repro.hw import hydra_cluster
 from repro.models import resnet18
-from repro.runtime import MemoryCache, RunRequest, SqlitePlanStore
+from repro.runtime import (
+    MemoryCache,
+    RunRequest,
+    SqlitePlanStore,
+    default_cache_dir,
+)
 from repro.sched.planner import Planner
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -43,6 +50,68 @@ class TestMemoryCache:
         cache.put("k", result)
         cache.clear()
         assert "k" not in cache and len(cache) == 0
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """Point ``$REPRO_CACHE_DIR`` at a fresh directory."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return tmp_path
+
+
+def _write_row(directory, key, fmt, payload):
+    """Write one raw row the way another process would."""
+    conn = sqlite3.connect(str(directory / "plans.sqlite"))
+    try:
+        with conn:
+            conn.execute(
+                "INSERT OR REPLACE INTO plans (key, format, payload) "
+                "VALUES (?, ?, ?)", (key, fmt, payload))
+    finally:
+        conn.close()
+
+
+class TestDiskCache:
+    """The on-disk cache the CLI opens from ``$REPRO_CACHE_DIR``."""
+
+    def test_roundtrip_is_exact(self, cache_dir, result):
+        SqlitePlanStore().put("k", result)
+        # A second instance must re-read from disk, not memory.
+        loaded = SqlitePlanStore().get("k")
+        assert default_cache_dir() == cache_dir
+        assert loaded is not result
+        assert loaded.total_seconds == result.total_seconds
+        assert json.dumps(loaded.to_dict(), sort_keys=True) == json.dumps(
+            result.to_dict(), sort_keys=True
+        )
+        assert loaded.sim.num_nodes == result.sim.num_nodes
+        assert loaded.energy.total == result.energy.total
+
+    def test_memory_layer_serves_same_object(self, cache_dir, result):
+        cache = SqlitePlanStore()
+        cache.put("k", result)
+        assert cache.get("k") is cache.get("k")
+
+    def test_corrupt_entry_is_a_miss(self, cache_dir, result):
+        cache = SqlitePlanStore(memory=False)
+        cache.put("k", result)
+        _write_row(cache_dir, "k", 1, "{not json")
+        assert cache.get("k") is None
+
+    def test_unknown_format_is_a_miss(self, cache_dir):
+        cache = SqlitePlanStore(memory=False)
+        _write_row(cache_dir, "k", 999, json.dumps({"result": {}}))
+        assert "k" in cache
+        assert cache.get("k") is None
+
+    def test_clear_removes_entries(self, cache_dir, result):
+        cache = SqlitePlanStore()
+        cache.put("a", result)
+        cache.put("b", result)
+        assert len(cache) == 2
+        cache.clear()
+        assert len(cache) == 0
+        assert len(SqlitePlanStore()) == 0
 
 
 _SUBPROCESS_SCRIPT = """
