@@ -11,6 +11,7 @@ memory-intensive FHE accelerators (FAB, MAD, Poseidon all reason this way).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +84,27 @@ class OpComponents:
         return cls(**data)
 
 
+def _per_level(method):
+    """Memoize a per-level operation price on the model instance.
+
+    :class:`OpComponents` is frozen, so every caller can share one
+    instance; the planner's DFT search prices the same few levels tens
+    of thousands of times.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def priced(self, level):
+        key = (name, level)
+        try:
+            return self._priced[key]
+        except KeyError:
+            value = self._priced[key] = method(self, level)
+            return value
+
+    return priced
+
+
 class OpCostModel:
     """Prices FHE operations on one :class:`repro.hw.CardSpec`.
 
@@ -99,6 +121,7 @@ class OpCostModel:
         self._t_ntt_limb = card.ntt_stage_passes * self._t_pass
         self._limb_bytes = params.poly_degree * _WORD_BYTES
         self._special = params.special_limbs
+        self._priced = {}
 
     # ------------------------------------------------------------------
     # Sizing helpers
@@ -159,11 +182,13 @@ class OpCostModel:
     # FHE operations
     # ------------------------------------------------------------------
 
+    @_per_level
     def hadd(self, level):
         """Homomorphic addition: 2 polys of limb-wise modular adds."""
         l = self.limbs(level)
         return self._make(ma_passes=2 * l, hbm_limb_passes=6 * l)
 
+    @_per_level
     def pmult(self, level):
         """Plaintext-ciphertext multiply: 2 polys of limb-wise modmuls."""
         l = self.limbs(level)
@@ -175,6 +200,7 @@ class OpCostModel:
         return self._make(ntt_limbs=2, mm_passes=2 * l, ma_passes=2 * l,
                           hbm_limb_passes=6 * l)
 
+    @_per_level
     def keyswitch(self, level):
         """Hybrid keyswitch: digit decomposition + key inner product.
 
@@ -202,10 +228,12 @@ class OpCostModel:
         l = self.limbs(level)
         return self._make(auto_passes=2 * l, hbm_limb_passes=4 * l)
 
+    @_per_level
     def rotation(self, level):
         """Slot rotation = automorphism + keyswitch."""
         return self.automorphism(level) + self.keyswitch(level)
 
+    @_per_level
     def cmult(self, level):
         """Ciphertext-ciphertext multiply incl. relinearization."""
         l = self.limbs(level)

@@ -7,7 +7,9 @@ operation of the kernel under test.  The suite covers the CKKS hot paths
 that dominate every paper experiment — the same kernels Hydra accelerates
 in hardware (Section IV): NTT, RNS limb arithmetic, keyswitching and
 rotation, BSGS linear transforms, one bootstrapping stage, one
-end-to-end scheduled simulation step of ``Hydra-S resnet18``, and the
+end-to-end scheduled simulation step of ``Hydra-S resnet18``, the
+switch-fabric communication path of one ``Hydra-L`` broadcast step,
+the cold mapping of one ``Hydra-L`` bootstrap step, and the
 :mod:`repro.serve` discrete-event serving loop.
 
 The registry is **pinned**: renaming or dropping a workload breaks
@@ -290,6 +292,63 @@ def _make_sim_workload():
     )
 
 
+def _hydra_l_step(kind):
+    from repro.core.system import HydraSystem
+
+    system = HydraSystem.named("Hydra-L")
+    model = system.build_model("resnet18")
+    step = next(s for s in model.steps if s.kind == kind)
+    scale = (model.work_scale
+             * system.planner.calibration.work_scale.get(model.name, 1.0))
+    return system, step, scale
+
+
+def _broadcast_state(_seed):
+    from repro.sim import ProgramBuilder, Simulator
+
+    system, step, scale = _hydra_l_step("convbn")
+    builder = ProgramBuilder(system.total_cards)
+    system.planner.map_step(step, builder, scale)
+    return {"simulator": Simulator(system.cluster),
+            "programs": builder.build()}
+
+
+def _map_state(_seed):
+    system, step, scale = _hydra_l_step("bootstrap")
+    return {"cluster": system.cluster, "step": step, "scale": scale}
+
+
+def _run_map_step(state):
+    from repro.sched import Planner
+    from repro.sim import ProgramBuilder
+
+    # A fresh planner per run: its DFT-parameter cache starts empty, as
+    # in a cold model run, so the group-size search is measured too.
+    planner = Planner(state["cluster"])
+    builder = ProgramBuilder(state["cluster"].total_cards)
+    planner.map_step(state["step"], builder, state["scale"])
+    return builder
+
+
+def _make_hydra_l_workloads():
+    return [
+        PerfWorkload(
+            name="sim.hydra_l.broadcast_step",
+            description="simulate one ResNet-18 ConvBN step on Hydra-L "
+                        "(16k broadcast deliveries over the switch fabric)",
+            setup=_broadcast_state,
+            run=lambda s: s["simulator"].run(s["programs"]),
+        ),
+        PerfWorkload(
+            name="plan.hydra_l.map_step",
+            description="map one ResNet-18 bootstrap step on Hydra-L "
+                        "with a cold planner (DFT group-size search)",
+            setup=_map_state,
+            run=_run_map_step,
+        ),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Serving-layer discrete-event simulation (repro.serve)
 # ----------------------------------------------------------------------
@@ -383,6 +442,7 @@ def _build_suite():
     workloads.append(_make_bsgs_workload())
     workloads.append(_make_bootstrap_workload())
     workloads.append(_make_sim_workload())
+    workloads.extend(_make_hydra_l_workloads())
     workloads.append(_make_serve_workload())
     workloads.append(_make_serve_stream_workload())
     workloads.append(_make_serve_llm_workload())

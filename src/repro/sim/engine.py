@@ -64,6 +64,11 @@ class Simulator:
         self.cluster = cluster
         self.fabric = build_fabric(cluster)
         self.trace_enabled = trace
+        n = cluster.total_cards
+        #: per-source broadcast destinations, built once per simulator
+        self._broadcast_dsts = [
+            tuple(d for d in range(n) if d != node) for node in range(n)
+        ]
 
     # ------------------------------------------------------------------
 
@@ -82,21 +87,20 @@ class Simulator:
         self.fabric.reset()
         self._programs = programs
         self._nodes = [_NodeState(len(p.compute)) for p in programs]
-        self._heap = []
+        self._heap = heap = []
         self._seq = 0
-        self._ready_issued = {}
-        self._ready_consumed = {}
+        #: ready signals issued minus consumed, per (src, dst) channel
+        self._ready = {}
         self._result = SimResult(nodes=[s.stats for s in self._nodes])
         self._components = None
         self._node_ops = [None] * n
-        self._last_time = 0.0
 
         for node in range(n):
             self._schedule(0.0, self._advance_compute, node)
             self._schedule(0.0, self._advance_comm, node)
-        while self._heap:
-            time, _, fn, node = heapq.heappop(self._heap)
-            self._last_time = max(self._last_time, time)
+        pop = heapq.heappop
+        while heap:
+            time, _, fn, node = pop(heap)
             fn(node, time)
         self._check_finished()
         result = self._result
@@ -121,9 +125,6 @@ class Simulator:
     def _schedule(self, time, fn, node):
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, node))
-
-    def _channel_key(self, src, dst):
-        return (src, dst)
 
     # ------------------------------------------------------------------
     # Compute engine
@@ -188,11 +189,11 @@ class Simulator:
 
     def _advance_comm(self, node, now):
         st = self._nodes[node]
-        program = self._programs[node]
         if st.awaiting_delivery or now < st.comm_busy_until:
             return
-        while st.comm_idx < len(program.comm):
-            task = program.comm[st.comm_idx]
+        comm = self._programs[node].comm
+        while st.comm_idx < len(comm):
+            task = comm[st.comm_idx]
             if isinstance(task, SendTask):
                 if not self._try_send(node, task, now):
                     return  # blocked; a finish/ready signal will re-advance
@@ -203,8 +204,8 @@ class Simulator:
                     return
                 now = st.comm_busy_until
             elif isinstance(task, RecvTask):
-                key = self._channel_key(task.src, node)
-                self._ready_issued[key] = self._ready_issued.get(key, 0) + 1
+                key = (task.src, node)
+                self._ready[key] = self._ready.get(key, 0) + 1
                 st.awaiting_delivery = True
                 # The sender may be blocked on this ready signal.
                 self._schedule(now, self._advance_comm, task.src)
@@ -225,22 +226,20 @@ class Simulator:
             if finish is None or finish > now:
                 return False
         if task.dst == BROADCAST:
-            dsts = [d for d in range(self.cluster.total_cards) if d != node]
+            dsts = self._broadcast_dsts[node]
             multicast = True
         elif isinstance(task.dst, tuple):
-            dsts = list(task.dst)
+            dsts = task.dst
             multicast = True
         else:
-            dsts = [task.dst]
+            dsts = (task.dst,)
             multicast = False
+        ready = self._ready
         for dst in dsts:
-            key = self._channel_key(node, dst)
-            if (self._ready_issued.get(key, 0)
-                    <= self._ready_consumed.get(key, 0)):
+            if ready.get((node, dst), 0) <= 0:
                 return False
         for dst in dsts:
-            key = self._channel_key(node, dst)
-            self._ready_consumed[key] = self._ready_consumed.get(key, 0) + 1
+            ready[node, dst] -= 1
         if multicast:
             release, deliveries = self.fabric.broadcast(
                 node, dsts, task.size, now
@@ -271,8 +270,13 @@ class Simulator:
                     start=now, end=t, step=self._step,
                     channel=f"{node}->{dst}",
                 ))
+        # Inlined _schedule: same pushes, same order, same sequence numbers.
+        push, heap, deliver = heapq.heappush, self._heap, self._deliver
+        seq = self._seq
         for dst, t in deliveries.items():
-            self._schedule(t, self._deliver, dst)
+            seq += 1
+            push(heap, (t, seq, deliver, dst))
+        self._seq = seq
         return True
 
     def _deliver(self, node, now):
@@ -285,9 +289,13 @@ class Simulator:
         st.awaiting_delivery = False
         st.recv_done_times.append(now)
         st.comm_idx += 1
-        st.comm_busy_until = max(st.comm_busy_until, now)
-        self._schedule(now, self._advance_compute, node)
-        self._schedule(now, self._advance_comm, node)
+        if now > st.comm_busy_until:
+            st.comm_busy_until = now
+        # Inlined _schedule for the two wakes, in the same order.
+        seq = self._seq
+        heapq.heappush(self._heap, (now, seq + 1, self._advance_compute, node))
+        heapq.heappush(self._heap, (now, seq + 2, self._advance_comm, node))
+        self._seq = seq + 2
 
     # ------------------------------------------------------------------
     # Completion

@@ -68,25 +68,29 @@ class HydraSwitchFabric:
                 f"card {cluster.card.name!r} has no DTU; cannot build the "
                 f"switch fabric"
             )
-        self._tx = [_Resource(bw, 0.0) for _ in range(cluster.total_cards)]
-        self._rx = [_Resource(bw, 0.0) for _ in range(cluster.total_cards)]
+        n = cluster.total_cards
+        self._tx = [_Resource(bw, 0.0) for _ in range(n)]
+        self._rx = [_Resource(bw, 0.0) for _ in range(n)]
         self._intra_latency = net.intra_server_latency
         self._inter_latency = net.inter_server_latency
+        # Switch latency per (src, dst) pair: the hot path indexes this
+        # table instead of resolving both cards' servers per delivery.
+        server = [cluster.server_of(card) for card in range(n)]
+        self._latency = [
+            [self._intra_latency if server[src] == server[dst]
+             else self._inter_latency for dst in range(n)]
+            for src in range(n)
+        ]
 
     def reset(self):
         for r in self._tx + self._rx:
             r.free_at = 0.0
             r.busy_total = 0.0
 
-    def _latency(self, src, dst):
-        if self.cluster.same_server(src, dst):
-            return self._intra_latency
-        return self._inter_latency
-
     def unicast(self, src, dst, size, start):
         """Returns (sender_release, {dst: delivery_time})."""
         _, tx_end = self._tx[src].occupy(size, start)
-        latency = self._latency(src, dst)
+        latency = self._latency[src][dst]
         _, rx_end = self._rx[dst].occupy(size, tx_end + latency - size
                                          / self._rx[dst].bandwidth)
         return tx_end, {dst: max(rx_end, tx_end + latency)}
@@ -94,9 +98,10 @@ class HydraSwitchFabric:
     def broadcast(self, src, dsts, size, start):
         """One TX occupation; the switch replicates to every receiver."""
         _, tx_end = self._tx[src].occupy(size, start)
+        latencies = self._latency[src]
         deliveries = {}
         for dst in dsts:
-            latency = self._latency(src, dst)
+            latency = latencies[dst]
             _, rx_end = self._rx[dst].occupy(
                 size, tx_end + latency - size / self._rx[dst].bandwidth
             )

@@ -225,6 +225,8 @@ class TestCli:
         assert len(rows) >= 8
         assert "metric counters:" in cap.text
         assert "sched.planner.steps_mapped" in cap.text
+        # ResNet-18 repeats step contents, so replays must show up.
+        assert "sched.planner.step_memo_hits" in cap.text
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert validate_chrome_trace(doc) > 0
 

@@ -37,6 +37,8 @@ EXPECTED_WORKLOADS = (
     "ckks.bsgs_matmul",
     "ckks.bootstrap.coeff_to_slot",
     "sim.hydra_s.resnet18_step",
+    "sim.hydra_l.broadcast_step",
+    "plan.hydra_l.map_step",
     "serve.steady.hydra_m",
     "serve.stream.hydra_m",
     "serve.llm.chat",

@@ -211,3 +211,69 @@ class TestProgramBuilder:
         b = ProgramBuilder(2)
         with pytest.raises(ValueError):
             b.compute(2, 1.0)
+
+
+class TestHotPathGuards:
+    """Pin behaviour the engine's precomputed fast paths must keep."""
+
+    def test_hand_built_broadcast_counts_every_receiver(self):
+        from repro.sim.program import BROADCAST, ComputeTask, SendTask
+
+        b = ProgramBuilder(4)
+        b.programs[0].compute.append(ComputeTask(duration=0.1))
+        b.programs[0].comm.append(
+            SendTask(dst=BROADCAST, size=500, after_compute=0))
+        for node in (1, 2, 3):
+            b.programs[node].comm.append(RecvTask(src=0, size=500))
+        res = Simulator(_cluster(4)).run(b.build())
+        assert res.transfers == 3
+        assert res.bytes_transferred == pytest.approx(1500)
+
+    def test_hand_built_multicast_counts_every_receiver(self):
+        from repro.sim.program import SendTask
+
+        b = ProgramBuilder(5)
+        b.programs[2].comm.append(SendTask(dst=(0, 4), size=250))
+        for node in (0, 4):
+            b.programs[node].comm.append(RecvTask(src=2, size=250))
+        res = Simulator(_cluster(5)).run(b.build())
+        assert res.transfers == 2
+        assert res.bytes_transferred == pytest.approx(500)
+
+    def test_broadcast_destinations_are_per_source(self):
+        """Each source reaches every other card, whichever sends first."""
+        b = ProgramBuilder(3)
+        for src in (2, 0):
+            b.broadcast(src, 100)
+        res = Simulator(_cluster(3)).run(b.build())
+        assert res.transfers == 4
+
+    @pytest.mark.parametrize("src,dst,inter", [
+        (6, 7, False), (7, 8, True), (8, 7, True), (8, 15, False),
+        (0, 15, True),
+    ])
+    def test_switch_latency_across_the_server_boundary(self, src, dst,
+                                                       inter):
+        """Cards 0-7 sit on server 0 and 8-15 on server 1."""
+        cluster = hydra_cluster(2, 8)
+        net = cluster.network
+        b = ProgramBuilder(16)
+        b.transfer(src, dst, 1000)
+        b.compute(dst, 0.0, needs_recv=True)
+        res = Simulator(cluster).run(b.build())
+        release = 1000 / cluster.card.dtu_bandwidth
+        want = net.inter_server_latency if inter else net.intra_server_latency
+        assert res.makespan == pytest.approx(release + want, rel=1e-12)
+
+    def test_broadcast_latency_follows_each_receivers_server(self):
+        from repro.sim.fabrics import HydraSwitchFabric
+
+        cluster = hydra_cluster(2, 8)
+        net = cluster.network
+        fabric = HydraSwitchFabric(cluster)
+        release, deliveries = fabric.broadcast(
+            7, [d for d in range(16) if d != 7], 1000, 0.0)
+        for dst, t in deliveries.items():
+            want = (net.intra_server_latency if dst < 8
+                    else net.inter_server_latency)
+            assert t == pytest.approx(release + want, rel=1e-12), dst
