@@ -12,7 +12,10 @@ processes, worker counts, and reruns.
 Events are plain dicts carrying a monotonically increasing ``seq``, the
 simulated time, a ``kind`` tag, and arbitrary JSON-safe fields;
 :meth:`FlightRecorder.to_jsonl` renders them as canonical (sorted-key)
-JSON lines for the ``events.jsonl`` telemetry artifact.
+JSON lines for the ``events.jsonl`` telemetry artifact.  The ring holds
+``(seq, time, kind, fields)`` tuples and builds the dicts only when
+:meth:`FlightRecorder.events` is asked for them — most recorded events
+are evicted unread.
 
 ``trigger()`` marks a condition worth dumping for (the serving engine
 calls it on the first SLO violation); the recorder remembers the first
@@ -59,27 +62,32 @@ class FlightRecorder:
         return self._seq - len(self._ring)
 
     def record(self, kind, time, **fields):
-        """Append one event; evicts the oldest when at capacity."""
-        event = {"seq": self._seq, "time": float(time), "kind": str(kind)}
-        event.update(fields)
+        """Append one event and return its ``seq``; evicts the oldest
+        when at capacity."""
+        seq = self._seq
+        event = (seq, time, kind, fields)
         if len(self._ring) < self.capacity:
             self._ring.append(event)
         else:
             self._ring[self._head] = event
             self._head = (self._head + 1) % self.capacity
-        self._seq += 1
-        return event
+        self._seq = seq + 1
+        return seq
 
     def trigger(self, reason, time, **fields):
-        """Record a trigger event and remember the first one."""
-        event = self.record("trigger", time, reason=str(reason), **fields)
+        """Record a trigger event and remember the first one; returns
+        its ``seq``."""
+        seq = self.record("trigger", time, reason=str(reason), **fields)
         if self.first_trigger is None:
-            self.first_trigger = (str(reason), float(time), event["seq"])
-        return event
+            self.first_trigger = (str(reason), float(time), seq)
+        return seq
 
     def events(self):
-        """Retained events in recording (``seq``) order."""
-        return self._ring[self._head:] + self._ring[:self._head]
+        """Retained events in recording (``seq``) order, as dicts."""
+        return [{"seq": seq, "time": float(time), "kind": str(kind),
+                 **fields}
+                for seq, time, kind, fields in
+                self._ring[self._head:] + self._ring[:self._head]]
 
     def to_jsonl(self, extra_fields=None):
         """Canonical JSON-lines dump of the retained window.

@@ -160,9 +160,14 @@ class StreamingHistogram:
             return
         self.count += count
         self.sum += value * count
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if self.exact or (self._is_raw and self.count <= self.exact_limit):
+        # min()/max() semantics (keep the incumbent on ties and NaN),
+        # without the builtin calls: this runs once per completion.
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        if self.exact or (not self._buckets and not self._zero
+                          and self.count <= self.exact_limit):
             self._values.extend([value] * count)
             return
         if self._values:
@@ -310,13 +315,12 @@ class WindowedCounter:
         self.window_seconds = self.horizon / self.num_windows
         self._counts = [0.0] * self.num_windows
 
-    def _window(self, t):
+    def add(self, t, value=1.0):
         if t < 0:
             raise ValueError(f"negative event time {t}")
-        return min(int(t / self.window_seconds), self.num_windows - 1)
-
-    def add(self, t, value=1.0):
-        self._counts[self._window(t)] += value
+        index = int(t / self.window_seconds)
+        last = self.num_windows - 1
+        self._counts[index if index < last else last] += value
 
     @property
     def total(self):
@@ -358,13 +362,20 @@ class TimeWeightedWindows:
         if end <= start or value == 0.0:
             return
         width = self.window_seconds
-        first = min(int(start / width), self.num_windows - 1)
-        last = min(int(end / width), self.num_windows - 1)
+        final = self.num_windows - 1
+        first = min(int(start / width), final)
+        last = min(int(end / width), final)
+        # max()/min() below are spelled as comparisons (same results,
+        # incumbent kept on ties): this runs per batch and per queue-
+        # depth change.
         for index in range(first, last + 1):
-            lo = max(start, index * width)
-            hi = min(end, (index + 1) * width)
-            if index == self.num_windows - 1:
-                hi = min(end, self.horizon)
+            edge = index * width
+            lo = edge if edge > start else start
+            if index == final:
+                hi = self.horizon if self.horizon < end else end
+            else:
+                edge = (index + 1) * width
+                hi = edge if edge < end else end
             if hi > lo:
                 self._weighted[index] += value * (hi - lo)
 
@@ -396,16 +407,18 @@ class TimeWeightedValue:
         self._last_value = 0.0
 
     def update(self, t, value):
-        if t < self._last_t:
+        last_t = self._last_t
+        if t < last_t:
             raise ValueError(
-                f"non-monotonic update: {t} < {self._last_t}"
+                f"non-monotonic update: {t} < {last_t}"
             )
-        if t > self._last_t and self._last_value:
-            self._weighted_total += self._last_value * (t - self._last_t)
-            self.windows.add_interval(self._last_t, t, self._last_value)
+        if t > last_t and self._last_value:
+            self._weighted_total += self._last_value * (t - last_t)
+            self.windows.add_interval(last_t, t, self._last_value)
         self._last_t = t
-        self._last_value = float(value)
-        self.max_value = max(self.max_value, self._last_value)
+        value = self._last_value = float(value)
+        if value > self.max_value:
+            self.max_value = value
 
     def finish(self, horizon):
         """Flush the final segment; returns self for chaining."""
@@ -445,25 +458,34 @@ class StreamingIntervalUnion:
         if now < self._now:
             raise ValueError(f"non-monotonic release time {now}")
         self._now = now
+        active = self._active
         if end > start:
-            merged = []
-            placed = False
             new = (float(start), float(end))
-            for interval in self._active:
-                if interval[1] < new[0] or new[1] < interval[0]:
-                    if not placed and interval[0] > new[1]:
-                        merged.append(new)
-                        placed = True
-                    merged.append(interval)
-                else:
-                    new = (min(interval[0], new[0]),
-                           max(interval[1], new[1]))
-            if not placed:
-                merged.append(new)
-            merged.sort()
-            self._active = merged
+            if not active or active[-1][1] < new[0]:
+                # Disjoint from and after every resident interval (the
+                # last one ends latest): the merge would append it.
+                active.append(new)
+            else:
+                merged = []
+                placed = False
+                for interval in active:
+                    if interval[1] < new[0] or new[1] < interval[0]:
+                        if not placed and interval[0] > new[1]:
+                            merged.append(new)
+                            placed = True
+                        merged.append(interval)
+                    else:
+                        new = (min(interval[0], new[0]),
+                               max(interval[1], new[1]))
+                if not placed:
+                    merged.append(new)
+                merged.sort()
+                self._active = active = merged
+        if not active or active[0][1] > now:
+            # Sorted and disjoint: nothing ends at or before ``now``.
+            return
         still_active = []
-        for interval in self._active:
+        for interval in active:
             if interval[1] <= now:
                 self._finalized += interval[1] - interval[0]
             else:

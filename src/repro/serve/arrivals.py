@@ -81,8 +81,9 @@ def validate_arrival(name, process, rate_rps, options):
             f"tenant {name!r}: unknown arrival process {process!r}; "
             f"choose from {ARRIVAL_PROCESSES}"
         )
-    if rate_rps <= 0:
-        raise ValueError(f"tenant {name!r}: rate_rps must be positive")
+    if not (rate_rps > 0 and math.isfinite(rate_rps)):
+        raise ValueError(f"tenant {name!r}: rate_rps must be positive "
+                         f"and finite, got {rate_rps!r}")
     allowed = _OPTION_KEYS[process]
     unknown = sorted(set(options) - allowed)
     if unknown:

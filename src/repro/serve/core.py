@@ -35,7 +35,6 @@ skipped entirely, so DES report bytes cannot drift.
 from __future__ import annotations
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import inc as _metric_inc
 from repro.obs.streaming import (
     StreamingHistogram,
     StreamingIntervalUnion,
@@ -63,6 +62,21 @@ __all__ = [
 
 # Same-timestamp event priorities (see module docstring).
 P_COMPLETE, P_ARRIVAL, P_FLUSH, P_AUTOSCALE = 0, 1, 2, 3
+
+#: ``serve.*`` counters labelled by tenant -> the TenantStats tally each
+#: reports (``serve.completed`` is the latency sketch's count).
+_TENANT_COUNTERS = (
+    ("serve.arrivals", "arrivals"),
+    ("serve.rejected", "rejected"),
+    ("serve.rejected_warming", "rejected_warming"),
+    ("serve.deadline_miss", "deadline_misses"),
+    ("serve.tokens", "tokens"),
+    ("serve.decode_steps", "decode_steps"),
+    ("serve.kv_recharges", "recharges"),
+    ("serve.sessions_completed", "sessions_completed"),
+    ("serve.sessions_aborted", "sessions_aborted"),
+    ("serve.kv_migrations", "kv_migrations"),
+)
 
 #: Admission outcomes returned by :meth:`EngineCore.handle_arrival`.
 #: The DES driver ignores them (the report carries the counts); the
@@ -156,6 +170,9 @@ class EngineCore:
         self.clusters = []
         self.cluster_stats = []
         self._replica_counts = {}
+        #: True once any elastic replica joined the pool (warm-up
+        #: rejections are impossible before that)
+        self._had_elastic = False
         duration = scenario.duration_seconds
         num_windows = scenario.telemetry.num_windows
         for entry in scenario.fleets[fleet_name]:
@@ -220,6 +237,7 @@ class EngineCore:
             active_from=active_from, elastic=elastic,
         )
         self.clusters.append(cluster)
+        self._had_elastic = self._had_elastic or elastic
         self.cluster_stats.append(ClusterStats(
             self.scenario.duration_seconds,
             self.scenario.telemetry.num_windows))
@@ -264,9 +282,9 @@ class EngineCore:
                               tokens_total=output_tokens,
                               prompt_tokens=prompt_tokens)
         else:
-            request = Request(id=self._request_ids, tenant=tenant.name,
-                              batch_key=tenant.batch_key,
-                              arrival=arrival, deadline=deadline)
+            # Positional: the one-shot arrival is the hottest record.
+            request = Request(self._request_ids, tenant.name,
+                              tenant.batch_key, arrival, deadline)
         self._request_ids += 1
         return request
 
@@ -291,16 +309,12 @@ class EngineCore:
         stats = self.stats[request.tenant]
         stats.arrivals += 1
         stats.arrivals_w.add(now)
-        _metric_inc("serve.arrivals", tenant=request.tenant)
         if not self.queue.offer(request):
             warming = self._rejected_while_warming(now)
             stats.rejected += 1
             stats.rejections_w.add(now)
-            _metric_inc("serve.rejected", tenant=request.tenant)
             if warming:
                 stats.rejected_warming += 1
-                _metric_inc("serve.rejected_warming",
-                            tenant=request.tenant)
                 self.recorder.record("reject", now, tenant=request.tenant,
                                      request=request.id,
                                      reason="warming")
@@ -328,7 +342,6 @@ class EngineCore:
         if not self.queue.offer(request):
             self._sessions.pop(request.session, None)
             stats.sessions_aborted += 1
-            _metric_inc("serve.sessions_aborted", tenant=request.tenant)
             self.recorder.record("session_abort", now,
                                  tenant=request.tenant,
                                  session=request.session,
@@ -354,6 +367,8 @@ class EngineCore:
         dispatchable) *and* no warmed replica has a free batch slot —
         capacity is on the way, the request just could not wait for it.
         """
+        if not self._had_elastic:
+            return False
         warming = any(c.elastic and c.retired_at is None
                       and not c.available(now)
                       for c in self.clusters)
@@ -387,13 +402,11 @@ class EngineCore:
         stats.latency.add(latency)
         stats.completions_w.add(now)
         stats.latency_sum_w.add(now, latency)
-        _metric_inc("serve.completed", tenant=request.tenant)
         missed = (request.deadline is not None
                   and now > request.deadline)
         if missed:
             stats.deadline_misses += 1
             stats.misses_w.add(now)
-            _metric_inc("serve.deadline_miss", tenant=request.tenant)
             self._check_slo_burn(now, request, stats)
         if self.autoscaler is not None:
             self.autoscaler.observe_completion(request.tenant,
@@ -409,7 +422,6 @@ class EngineCore:
             # ciphertexts to the cluster that computed them.
             stats.ttft.add(now - request.arrival)
             stats.tokens += 1
-            _metric_inc("serve.tokens", tenant=request.tenant)
             done = request.tokens_total <= 1
             if self.token_sink is not None:
                 self.token_sink(now, request, done=done)
@@ -439,11 +451,8 @@ class EngineCore:
         stats.inter_token.add(inter_token)
         stats.tokens += 1
         stats.decode_steps += 1
-        _metric_inc("serve.tokens", tenant=request.tenant)
-        _metric_inc("serve.decode_steps", tenant=request.tenant)
         if request.recharge:
             stats.recharges += 1
-            _metric_inc("serve.kv_recharges", tenant=request.tenant)
         done = request.token_index >= request.tokens_total
         if self.token_sink is not None:
             self.token_sink(now, request, done=done)
@@ -460,7 +469,6 @@ class EngineCore:
         request."""
         stats = self.stats[request.tenant]
         stats.sessions_completed += 1
-        _metric_inc("serve.sessions_completed", tenant=request.tenant)
         self.recorder.record("session_end", now, tenant=request.tenant,
                              session=request.session,
                              tokens=request.tokens_total)
@@ -527,7 +535,6 @@ class EngineCore:
         self.autoscaler.note_scaled(now)
         self.peak_replicas = max(self.peak_replicas,
                                  len(self._active_elastic()))
-        _metric_inc("serve.scale_up", count)
         self.recorder.trigger("scale_up", now, policy=config.policy,
                               signal=signal, clusters=labels,
                               ready_at=ready_at)
@@ -553,7 +560,6 @@ class EngineCore:
         if not labels:
             return
         self.autoscaler.note_scaled(now)
-        _metric_inc("serve.scale_down", len(labels))
         self.recorder.trigger("scale_down", now, policy=config.policy,
                               signal=signal, clusters=labels)
         self.scale_events.append({
@@ -577,41 +583,73 @@ class EngineCore:
                                   misses=stats.deadline_misses,
                                   completed=completed)
 
+    # -- counters -------------------------------------------------------
+
+    def counter_snapshot(self):
+        """The ``serve.*`` counters, as a metrics-registry snapshot.
+
+        Built on demand from the tallies the core keeps anyway
+        (:class:`TenantStats`, :class:`ClusterState` batch counts and
+        ``scale_events``) instead of a registry increment per event.
+        Only nonzero series appear, exactly as a registry that was
+        never incremented for them would show.  Callers combine it
+        with the active registry's snapshot via
+        :func:`~repro.obs.metrics.merge_snapshots`.
+        """
+        counters = {}
+
+        def put(name, key, value):
+            if value:
+                counters.setdefault(name, {})[key] = value
+
+        for tenant, stats in self.stats.items():
+            key = f"tenant={tenant}"
+            put("serve.completed", key, stats.latency.count)
+            for name, attr in _TENANT_COUNTERS:
+                put(name, key, getattr(stats, attr))
+        for cluster in self.clusters:
+            key = f"cluster={cluster.label}"
+            put("serve.batches", key, cluster.batches)
+            put("serve.batched_requests", key, cluster.requests)
+        for action in ("up", "down"):
+            put(f"serve.scale_{action}", "",
+                sum(len(event["clusters"]) for event in self.scale_events
+                    if event["action"] == action))
+        return {"counters": counters, "gauges": {}, "histograms": {}}
+
     # -- dispatch -------------------------------------------------------
 
-    def _key_dispatchable(self, key, free_idx):
-        """Session-affine decode keys wait for their KV cluster.
-
-        A decode batch whose KV cluster is alive but busy must stay in
-        the queue (extracting it would force either a stall or a
-        migration the routing mode forbids); once the KV cluster is
-        retired, any cluster may take the batch (forced migration).
-        """
-        if len(key) < 3 or not self.scenario.routing.session_affinity:
-            return True
-        kv_cluster = self.clusters[key[2]]
-        if kv_cluster.retired_at is not None:
-            return True
-        return key[2] in free_idx
-
     def try_dispatch(self, now):
+        queue = self.queue
+        clusters = self.clusters
         batch_cfg = self.scenario.batch
         routing = self.scenario.routing
-        while True:
-            free = [c for c in self.clusters
-                    if c.available(now) and c.has_free_slot]
+        affine_keys = bool(self.llm_info) and routing.session_affinity
+        ready = now + 1e-12
+        while queue.pending:
+            # ClusterState.available() and .has_free_slot, inlined.
+            free = [c for c in clusters
+                    if c.retired_at is None and c.active_from <= ready
+                    and c.inflight < c.inflight_limit]
             if not free:
                 return
             dispatchable = None
-            if self.llm_info:
+            if affine_keys:
                 free_idx = {c.index for c in free}
 
-                def dispatchable(key, _free=free_idx):
-                    return self._key_dispatchable(key, _free)
+                def dispatchable(key):
+                    # Session-affine decode keys wait for their KV
+                    # cluster: a decode batch whose KV cluster is alive
+                    # but busy stays queued (taking it would force a
+                    # stall or a migration the routing mode forbids);
+                    # once that cluster retires, any cluster may take
+                    # the batch (forced migration).
+                    return (len(key) < 3 or key[2] in free_idx
+                            or clusters[key[2]].retired_at is not None)
 
-            batch = self.queue.take_batch(now, batch_cfg.max_requests,
-                                          batch_cfg.window_seconds,
-                                          dispatchable=dispatchable)
+            batch = queue.take_batch(now, batch_cfg.max_requests,
+                                     batch_cfg.window_seconds,
+                                     dispatchable=dispatchable)
             if batch is None:
                 return
             self._record_depth(now)
@@ -626,9 +664,10 @@ class EngineCore:
                 kv_index = key[2]
                 info = self.llm_info[base_model]
                 affine = (routing.session_affinity
-                          and self.clusters[kv_index].retired_at is None)
-                candidates = ([c for c in free if c.index == kv_index]
-                              if affine else free)
+                          and clusters[kv_index].retired_at is None)
+                # An affine key left the queue only because its KV
+                # cluster is free (see dispatchable above).
+                candidates = [clusters[kv_index]] if affine else free
                 recharging = sum(1 for r in batch if r.recharge)
             else:
                 cts_in = sum(self.tenants[r.tenant].ciphertexts_in
@@ -688,9 +727,6 @@ class EngineCore:
                                               t_c, t_out)
                 self._migrate_sessions(now, batch, cluster)
             cluster.commit_batch(schedule, len(batch))
-            _metric_inc("serve.batches", cluster=cluster.label)
-            _metric_inc("serve.batched_requests", len(batch),
-                        cluster=cluster.label)
             batch_id = f"batch-{self._batch_ids:05d}"
             self._batch_ids += 1
             stats = self.cluster_stats[cluster.index]
@@ -728,7 +764,6 @@ class EngineCore:
             if session is not None:
                 session["kv_cluster"] = cluster.index
             self.stats[request.tenant].kv_migrations += 1
-            _metric_inc("serve.kv_migrations", tenant=request.tenant)
         self.recorder.record(
             "kv_migrate", now, cluster=cluster.label,
             sessions=[r.session for r in batch])

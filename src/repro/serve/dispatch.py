@@ -47,7 +47,8 @@ planner and the autoscale-vs-static comparisons minimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BatchSchedule",
@@ -161,9 +162,12 @@ def select_cluster(plans, routing, tightest_deadline):
     return min(plans, key=lambda pc: (pc[0].completion, pc[1].index))
 
 
-@dataclass(frozen=True)
-class BatchSchedule:
-    """Resolved phase times of one dispatched batch on one cluster."""
+class BatchSchedule(NamedTuple):
+    """Resolved phase times of one dispatched batch on one cluster.
+
+    A named tuple (immutable, cheap to build): every free cluster
+    plans one per dispatch attempt.
+    """
 
     ingress_start: float
     ingress_end: float

@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, merge_snapshots, use_registry
 from repro.serve.arrivals import iter_arrivals
 from repro.serve.core import P_ARRIVAL, EngineCore
 from repro.serve.report import build_fleet_report, build_report
@@ -188,9 +188,9 @@ class SimDriver:
         """Drain the event heap; returns the finished core."""
         self.seed_arrivals()
         self.core.schedule_autoscaler()
-        while self.heap:
-            time, _priority, _seq, handler, payload = heapq.heappop(
-                self.heap)
+        heap, heappop = self.heap, heapq.heappop
+        while heap:
+            time, _priority, _seq, handler, payload = heappop(heap)
             handler(time, payload)
         if self.core.queue.pending:  # pragma: no cover - termination guard
             raise RuntimeError(
@@ -206,7 +206,8 @@ def simulate_fleet(scenario, fleet_name, profiles, exact=False,
     """Simulate one fleet; returns its deterministic report fragment.
 
     Runs under a fresh :class:`~repro.obs.MetricsRegistry` so the
-    report's metric totals reflect exactly this fleet's activity.
+    report's metric totals reflect exactly this fleet's activity; the
+    core's ``serve.*`` counters join that registry's snapshot here.
     Pass a :class:`~repro.obs.FlightRecorder` to retain the event ring
     after the run (``run_scenario`` does, for ``--telemetry-out``).
     """
@@ -214,7 +215,8 @@ def simulate_fleet(scenario, fleet_name, profiles, exact=False,
     with use_registry(registry):
         core = SimDriver(scenario, fleet_name, profiles,
                          exact=exact, recorder=recorder).run()
-    return build_fleet_report(core, registry.snapshot())
+    return build_fleet_report(core, merge_snapshots(
+        [registry.snapshot(), core.counter_snapshot()]))
 
 
 def run_scenario(ref, seed=None, duration=None, dispatch=None, policy=None,

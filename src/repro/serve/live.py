@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.obs.metrics import (
     MetricsRegistry,
     inc as _metric_inc,
+    merge_snapshots,
     set_registry,
 )
 from repro.obs.prom import registry_to_prom
@@ -505,7 +506,8 @@ class LiveServer:
         }
 
     def _metrics(self):
-        snapshot = self.registry.snapshot()
+        snapshot = merge_snapshots([self.registry.snapshot(),
+                                    self.driver.core.counter_snapshot()])
         writer = registry_to_prom(snapshot)
         writer.gauge("repro_serve_live_inflight", self.driver.inflight,
                      help_text="Admitted requests awaiting completion")

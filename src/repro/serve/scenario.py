@@ -47,6 +47,7 @@ tenants are autoregressive transformer sessions with seeded
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,11 @@ _POLICY_NAMES = ("fifo", "fair", "edf")
 _DISPATCH_MODES = ("pipelined", "serialized")
 
 _SHORTHAND = re.compile(r"^hydra-(\d+)x(\d+)$")
+
+
+def _finite_positive(value):
+    """True for a positive, finite number (NaN and infinities fail)."""
+    return value > 0 and math.isfinite(value)
 
 
 def params_preset(name):
@@ -166,10 +172,11 @@ class TenantSpec:
                 f"tenant {self.name!r}: unknown kind {self.kind!r}; "
                 f"choose from {_TENANT_KINDS}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        if self.deadline_seconds is not None and not _finite_positive(
+                self.deadline_seconds):
             raise ValueError(
                 f"tenant {self.name!r}: deadline_seconds must be "
-                f"positive, got {self.deadline_seconds!r}"
+                f"positive and finite, got {self.deadline_seconds!r}"
             )
         if self.ciphertexts_in < 1 or self.ciphertexts_out < 0:
             raise ValueError(
@@ -369,8 +376,11 @@ class Scenario:
     autoscale: AutoscaleConfig = None
 
     def __post_init__(self):
-        if self.duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        if not _finite_positive(self.duration_seconds):
+            raise ValueError(
+                f"duration_seconds must be positive and finite, got "
+                f"{self.duration_seconds!r}"
+            )
         if self.policy not in _POLICY_NAMES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; "
@@ -426,6 +436,11 @@ class Scenario:
         """A copy with CLI-level overrides applied (None = keep)."""
         import dataclasses
 
+        if duration is not None and not _finite_positive(float(duration)):
+            raise ValueError(
+                f"duration override must be positive and finite, got "
+                f"{duration!r}"
+            )
         return dataclasses.replace(
             self,
             seed=self.seed if seed is None else int(seed),

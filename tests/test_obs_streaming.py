@@ -213,6 +213,39 @@ class TestTimeWeightedWindows:
         assert windows.weighted() == [0.0, 0.0]
 
 
+    def test_bit_identical_to_the_reference_loop(self):
+        # add_interval spells min()/max() as comparisons; the weights
+        # must match the plain loop bit for bit, including intervals
+        # that straddle windows, the horizon, or start below zero.
+        def reference(windows, start, end, value):
+            start = max(0.0, float(start))
+            end = min(float(end), windows.horizon)
+            if end <= start or value == 0.0:
+                return
+            width = windows.window_seconds
+            for index in range(min(int(start / width),
+                                   windows.num_windows - 1),
+                               min(int(end / width),
+                                   windows.num_windows - 1) + 1):
+                lo = max(start, index * width)
+                hi = min(end, (index + 1) * width)
+                if index == windows.num_windows - 1:
+                    hi = min(end, windows.horizon)
+                if hi > lo:
+                    want[index] += value * (hi - lo)
+
+        rng = random.Random(3)
+        windows = TimeWeightedWindows(horizon=7.3, num_windows=9)
+        want = [0.0] * 9
+        for _ in range(2000):
+            start = rng.uniform(-1.0, 8.0)
+            end = start + rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            value = rng.choice([1.0, 0.0, rng.uniform(0.1, 5.0)])
+            windows.add_interval(start, end, value)
+            reference(windows, start, end, value)
+        assert windows.weighted() == want
+
+
 class TestTimeWeightedValue:
     def test_step_signal_mean_and_max(self):
         depth = TimeWeightedValue(horizon=10.0, num_windows=2)
@@ -249,6 +282,45 @@ class TestStreamingIntervalUnion:
                 intervals.append((start, end))
                 union.add(start, end, now=now)
             assert union.length == pytest.approx(_length(_union(intervals)))
+
+    def test_bit_identical_to_the_merge_every_add_reference(self):
+        # The append and skip-finalize fast paths must leave exactly
+        # the state the full merge-and-scan on every add produces,
+        # with touching (end == next start) and nested intervals.
+        def reference_add(state, start, end, now):
+            active, finalized = state
+            if end > start:
+                merged, placed = [], False
+                new = (float(start), float(end))
+                for interval in active:
+                    if interval[1] < new[0] or new[1] < interval[0]:
+                        if not placed and interval[0] > new[1]:
+                            merged.append(new)
+                            placed = True
+                        merged.append(interval)
+                    else:
+                        new = (min(interval[0], new[0]),
+                               max(interval[1], new[1]))
+                if not placed:
+                    merged.append(new)
+                active = sorted(merged)
+            for interval in [i for i in active if i[1] <= now]:
+                finalized += interval[1] - interval[0]
+            return [i for i in active if i[1] > now], finalized
+
+        rng = random.Random(21)
+        for _ in range(20):
+            union = StreamingIntervalUnion()
+            state = ([], 0.0)
+            now = end = 0.0
+            for _ in range(300):
+                now += rng.choice([0.0, 0.25, rng.uniform(0.0, 1.0)])
+                start = rng.choice([now, end, now + rng.uniform(0.0, 0.5)])
+                start = max(start, now)
+                end = start + rng.choice([0.0, 0.25, rng.uniform(0.0, 2.0)])
+                union.add(start, end, now=now)
+                state = reference_add(state, start, end, now)
+                assert (union._active, union._finalized) == state
 
     def test_finalizes_behind_the_clock(self):
         union = StreamingIntervalUnion()

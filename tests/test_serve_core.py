@@ -24,7 +24,8 @@ from repro.serve import (
     TenantSpec,
     generate_arrivals,
 )
-from repro.serve.core import P_AUTOSCALE, P_COMPLETE, P_FLUSH
+from repro.serve.autoscale import AutoscaleConfig
+from repro.serve.core import P_ARRIVAL, P_AUTOSCALE, P_COMPLETE, P_FLUSH
 from repro.serve.scenario import BatchConfig, Overheads
 
 
@@ -56,9 +57,10 @@ def _profiles_for(scenario, compute_seconds=2.0):
     for entries in scenario.fleets.values():
         for entry in entries:
             for tenant in scenario.tenants:
-                profiles[(tenant.model, tenant.params, entry)] = _profile(
-                    entry, compute_seconds=compute_seconds,
-                    model=tenant.model)
+                for model in tenant.profile_models:
+                    profiles[(model, tenant.params, entry)] = _profile(
+                        entry, compute_seconds=compute_seconds,
+                        model=model)
     return profiles
 
 
@@ -250,3 +252,101 @@ class TestFakeClockCore:
             assert a.latency.max == b.latency.max
         assert fake.core._batch_ids == core._batch_ids
         assert fake.core.last_completion == core.last_completion
+
+
+#: Every ``serve.*`` counter the core can report.
+SERVE_COUNTERS = {
+    "serve.arrivals", "serve.rejected", "serve.rejected_warming",
+    "serve.completed", "serve.deadline_miss", "serve.tokens",
+    "serve.decode_steps", "serve.kv_recharges", "serve.sessions_completed",
+    "serve.sessions_aborted", "serve.kv_migrations", "serve.batches",
+    "serve.batched_requests", "serve.scale_up", "serve.scale_down",
+}
+
+
+class TestCounterSnapshot:
+    """``counter_snapshot()`` derives the ``serve.*`` counters from the
+    core's tallies; a counter nothing incremented stays absent."""
+
+    def test_fresh_core_reports_nothing(self):
+        snap = FakeDriver(_scenario()).core.counter_snapshot()
+        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_warmup_rejection_and_scaling(self):
+        scenario = _scenario(
+            max_queue=1, dispatch="serialized",
+            batch=BatchConfig(max_requests=1, window_seconds=0.0),
+            autoscale=AutoscaleConfig(cluster="Hydra-S", min_replicas=0,
+                                      max_replicas=3, warmup_seconds=50.0))
+        driver = FakeDriver(scenario)
+        core = driver.core
+        core._scale_up(0.0, 2, "queue_depth")  # two replicas warming
+        assert driver.arrive(0.0) == ADMITTED  # dispatched
+        assert driver.arrive(0.0) == ADMITTED  # queued
+        assert driver.arrive(0.0) == REJECTED_WARMING
+        core._scale_down(1.0, 1, "queue_depth")
+        counters = core.counter_snapshot()["counters"]
+        assert counters == {
+            "serve.arrivals": {"tenant=t0": 3},
+            "serve.rejected": {"tenant=t0": 1},
+            "serve.rejected_warming": {"tenant=t0": 1},
+            "serve.batches": {"cluster=Hydra-S#0": 1},
+            "serve.batched_requests": {"cluster=Hydra-S#0": 1},
+            "serve.scale_up": {"": 2},
+            "serve.scale_down": {"": 1},
+        }
+        # Never incremented -> absent, not zero.
+        assert "serve.completed" not in counters
+        assert "serve.sessions_aborted" not in counters
+        assert "cluster=Hydra-S#1" not in counters["serve.batches"]
+
+    def test_decode_rejection_aborts_the_session(self):
+        scenario = _scenario(
+            tenants=(TenantSpec(
+                name="gen", model="bert_base", kind="llm",
+                process="uniform", rate_rps=0.25,
+                prompt_tokens=(("distribution", "fixed"), ("value", 8)),
+                output_tokens=(("distribution", "fixed"), ("value", 4))),),
+            max_queue=1, dispatch="serialized",
+            batch=BatchConfig(max_requests=1, window_seconds=0.0))
+        driver = FakeDriver(scenario)
+        core = driver.core
+        assert driver.arrive(0.0, "gen") == ADMITTED  # session A prefill
+        now = driver.step()  # A's prefill completes: first token
+        (_w, _p, _s, _h, decode), = driver.pending(P_ARRIVAL)
+        assert decode.phase == "decode"
+        # Session B takes the free cluster, C fills the queue, so A's
+        # decode continuation is shed at admission.
+        assert driver.arrive(now, "gen") == ADMITTED
+        assert driver.arrive(now, "gen") == ADMITTED
+        driver.step()
+        assert core.stats["gen"].sessions_aborted == 1
+        counters = core.counter_snapshot()["counters"]
+        assert counters == {
+            "serve.arrivals": {"tenant=gen": 3},
+            "serve.tokens": {"tenant=gen": 1},
+            "serve.sessions_aborted": {"tenant=gen": 1},
+            "serve.batches": {"cluster=Hydra-S#0": 2},
+            "serve.batched_requests": {"cluster=Hydra-S#0": 2},
+        }
+        # A shed decode step aborts its session; it is not an arrival
+        # rejection, and no session completed.
+        assert "serve.rejected" not in counters
+        assert "serve.completed" not in counters
+
+    def test_des_run_matches_the_tallies(self):
+        # A full DES run: every reported counter equals the tally it
+        # mirrors, and only names from the serve.* set appear.
+        scenario = _scenario()
+        core = SimDriver(scenario, "f", _profiles_for(scenario)).run()
+        counters = core.counter_snapshot()["counters"]
+        assert set(counters) <= SERVE_COUNTERS
+        stats = core.stats["t0"]
+        assert counters["serve.arrivals"] == {"tenant=t0": stats.arrivals}
+        assert counters["serve.completed"] == {
+            "tenant=t0": stats.latency.count}
+        (cluster,) = core.clusters
+        assert counters["serve.batches"] == {
+            "cluster=Hydra-S#0": cluster.batches}
+        assert counters["serve.batched_requests"] == {
+            "cluster=Hydra-S#0": cluster.requests}

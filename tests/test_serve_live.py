@@ -249,3 +249,27 @@ class TestLiveHTTP:
         assert "repro_serve_arrivals" in text
         assert "repro_serve_live_inflight" in text
         assert "repro_serve_live_uptime_seconds" in text
+
+    def test_metrics_counts_the_requests_sent(self, server):
+        # The serve.* counters are derived from the core's own tallies
+        # at scrape time; they must move by exactly the requests sent.
+        def scrape():
+            _status, body, _ = _http(server, "/metrics")
+            values = {}
+            for line in body.splitlines():
+                for name in ("repro_serve_arrivals",
+                             "repro_serve_completed"):
+                    prefix = name + '{tenant="demo"} '
+                    if line.startswith(prefix):
+                        values[name] = float(line[len(prefix):])
+            return values
+
+        before = scrape()
+        for value in (0.2, -0.4):
+            status, body, _ = _http(
+                server, "/v1/infer", method="POST",
+                body={"tenant": "demo", "values": [value]})
+            assert status == 200, body
+        after = scrape()
+        for name in ("repro_serve_arrivals", "repro_serve_completed"):
+            assert after[name] - before.get(name, 0.0) == 2, name

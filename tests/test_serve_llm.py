@@ -24,6 +24,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,18 @@ from repro.serve.dispatch import RoutingConfig
 from repro.serve.scenario import BatchConfig, Overheads
 
 _PAPER_MAX_LEVEL = 34
+
+#: LLM goldens, captured before the serve.* counters moved from per-event
+#: registry increments to ``EngineCore.counter_snapshot()``: the
+#: ``llm_mixed`` v4 report (``repro serve llm_mixed --duration 400
+#: --json``, also diffed in CI) and the ``metrics`` block of the
+#: affinity-blind ``llm_chat_hydra_l`` run.  Together they pin tokens,
+#: decode steps, KV recharges, completed sessions and KV migrations.
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden_serve"
+
+
+def _golden_bytes(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +424,10 @@ class TestV4Report:
         assert (json.dumps(again, sort_keys=True)
                 == json.dumps(llm_mixed, sort_keys=True))
 
+    def test_report_bytes_match_golden(self, llm_mixed):
+        want = (GOLDEN_DIR / "llm_mixed.json").read_text(encoding="utf-8")
+        assert _golden_bytes(llm_mixed) == want
+
     def test_render_shows_token_streaming_table(self, llm_mixed):
         text = render_report(llm_mixed)
         assert "Per-tenant token streaming" in text
@@ -493,6 +510,14 @@ class TestSessionAffinity:
                    for n in tenants_a)
         assert sum(tenants_b[n]["llm"]["kv_migrations"]
                    for n in tenants_b) > 0
+
+    def test_blind_metrics_match_golden(self, chat_reports):
+        _affine, blind = chat_reports
+        metrics = blind["fleets"]["hydra-l"]["metrics"]
+        assert metrics["serve.kv_migrations"]  # the counter is pinned
+        want = (GOLDEN_DIR / "llm_chat_hydra_l_blind_metrics.json"
+                ).read_text(encoding="utf-8")
+        assert _golden_bytes(metrics) == want
 
     def test_blind_report_carries_the_affinity_flag(self, chat_reports):
         affine, blind = chat_reports

@@ -1,6 +1,7 @@
 """Unit tests for repro.serve scenarios, arrivals, and queueing."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -94,6 +95,61 @@ class TestScenario:
             _tenant(rate_rps=0.0)
         with pytest.raises(KeyError, match="params preset"):
             _tenant(params="toy")
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity fail at load time with one ``error:`` line.
+
+    ``<= 0`` checks let them through: ``--duration nan`` printed an
+    empty report and exited 0, and ``--duration inf`` never finished.
+    """
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_cli_duration_flag(self, value):
+        from repro.core.cli import main
+
+        lines = []
+        assert main(["serve", "steady_hydra_m", f"--duration={value}"],
+                    out=lines.append) == 2
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: "), lines
+        assert "finite" in lines[0]
+
+    def test_override_rejects_non_finite(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                _scenario().override(duration=value)
+
+    @pytest.mark.parametrize(("where", "token"), [
+        ("duration_seconds", "NaN"),
+        ("duration_seconds", "Infinity"),
+        ("rate_rps", "NaN"),
+        ("rate_rps", "Infinity"),
+        ("deadline_seconds", "NaN"),
+        ("deadline_seconds", "Infinity"),
+    ])
+    def test_scenario_file(self, tmp_path, where, token):
+        from repro.core.cli import main
+
+        value = float(token.lower().replace("infinity", "inf"))
+        doc = load_scenario("steady_hydra_m").to_dict()
+        tenant = doc["tenants"][0]
+        if where == "duration_seconds":
+            doc[where] = value
+        elif where == "rate_rps":
+            tenant["arrival"][where] = value
+        else:
+            tenant[where] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert token in path.read_text(encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{where} must be positive "
+                                             f"and finite"):
+            load_scenario(str(path))
+        lines = []
+        assert main(["serve", str(path)], out=lines.append) == 2
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: "), lines
 
 
 class TestArrivals:
