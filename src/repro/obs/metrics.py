@@ -70,16 +70,8 @@ class MetricsRegistry:
 
     def inc(self, name, value=1, **labels):
         """Add ``value`` to counter ``name`` for the given labels."""
-        series = self._counters.get(name)
-        if series is None:
-            series = self._counters[name] = {}
-        if len(labels) == 1:
-            # The common single-label case: what _label_key returns,
-            # without the sort and join.
-            (label, label_value), = labels.items()
-            key = f"{label}={label_value}"
-        else:
-            key = _label_key(labels)
+        series = self._counters.setdefault(name, {})
+        key = _label_key(labels)
         series[key] = series.get(key, 0) + value
 
     def set_gauge(self, name, value, **labels):

@@ -160,14 +160,9 @@ class StreamingHistogram:
             return
         self.count += count
         self.sum += value * count
-        # min()/max() semantics (keep the incumbent on ties and NaN),
-        # without the builtin calls: this runs once per completion.
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if self.exact or (not self._buckets and not self._zero
-                          and self.count <= self.exact_limit):
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+        if self.exact or (self._is_raw and self.count <= self.exact_limit):
             self._values.extend([value] * count)
             return
         if self._values:
@@ -362,20 +357,13 @@ class TimeWeightedWindows:
         if end <= start or value == 0.0:
             return
         width = self.window_seconds
-        final = self.num_windows - 1
-        first = min(int(start / width), final)
-        last = min(int(end / width), final)
-        # max()/min() below are spelled as comparisons (same results,
-        # incumbent kept on ties): this runs per batch and per queue-
-        # depth change.
+        first = min(int(start / width), self.num_windows - 1)
+        last = min(int(end / width), self.num_windows - 1)
         for index in range(first, last + 1):
-            edge = index * width
-            lo = edge if edge > start else start
-            if index == final:
-                hi = self.horizon if self.horizon < end else end
-            else:
-                edge = (index + 1) * width
-                hi = edge if edge < end else end
+            lo = max(start, index * width)
+            hi = min(end, (index + 1) * width)
+            if index == self.num_windows - 1:
+                hi = min(end, self.horizon)
             if hi > lo:
                 self._weighted[index] += value * (hi - lo)
 
@@ -407,18 +395,16 @@ class TimeWeightedValue:
         self._last_value = 0.0
 
     def update(self, t, value):
-        last_t = self._last_t
-        if t < last_t:
+        if t < self._last_t:
             raise ValueError(
-                f"non-monotonic update: {t} < {last_t}"
+                f"non-monotonic update: {t} < {self._last_t}"
             )
-        if t > last_t and self._last_value:
-            self._weighted_total += self._last_value * (t - last_t)
-            self.windows.add_interval(last_t, t, self._last_value)
+        if t > self._last_t and self._last_value:
+            self._weighted_total += self._last_value * (t - self._last_t)
+            self.windows.add_interval(self._last_t, t, self._last_value)
         self._last_t = t
-        value = self._last_value = float(value)
-        if value > self.max_value:
-            self.max_value = value
+        self._last_value = float(value)
+        self.max_value = max(self.max_value, self._last_value)
 
     def finish(self, horizon):
         """Flush the final segment; returns self for chaining."""

@@ -43,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "ARRIVAL_PROCESSES",
+    "finite_positive",
     "generate_arrivals",
     "iter_arrivals",
     "peak_rate",
@@ -64,6 +65,11 @@ _OPTION_KEYS = {
 }
 
 
+def finite_positive(value):
+    """True for a positive, finite number (NaN and infinities fail)."""
+    return value > 0 and math.isfinite(value)
+
+
 def tenant_seed(scenario_seed, tenant_name):
     """Stable per-tenant seed material (order-independent)."""
     return (int(scenario_seed), zlib.crc32(tenant_name.encode("utf-8")))
@@ -81,7 +87,7 @@ def validate_arrival(name, process, rate_rps, options):
             f"tenant {name!r}: unknown arrival process {process!r}; "
             f"choose from {ARRIVAL_PROCESSES}"
         )
-    if not (rate_rps > 0 and math.isfinite(rate_rps)):
+    if not finite_positive(rate_rps):
         raise ValueError(f"tenant {name!r}: rate_rps must be positive "
                          f"and finite, got {rate_rps!r}")
     allowed = _OPTION_KEYS[process]

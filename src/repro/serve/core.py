@@ -625,12 +625,9 @@ class EngineCore:
         batch_cfg = self.scenario.batch
         routing = self.scenario.routing
         affine_keys = bool(self.llm_info) and routing.session_affinity
-        ready = now + 1e-12
         while queue.pending:
-            # ClusterState.available() and .has_free_slot, inlined.
             free = [c for c in clusters
-                    if c.retired_at is None and c.active_from <= ready
-                    and c.inflight < c.inflight_limit]
+                    if c.available(now) and c.has_free_slot]
             if not free:
                 return
             dispatchable = None

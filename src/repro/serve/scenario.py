@@ -47,14 +47,13 @@ tenants are autoregressive transformer sessions with seeded
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.ckks.params import PAPER_PARAMS
 from repro.hw.cluster import hydra_cluster
-from repro.serve.arrivals import validate_arrival
+from repro.serve.arrivals import finite_positive, validate_arrival
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.dispatch import RoutingConfig
 
@@ -89,11 +88,6 @@ _POLICY_NAMES = ("fifo", "fair", "edf")
 _DISPATCH_MODES = ("pipelined", "serialized")
 
 _SHORTHAND = re.compile(r"^hydra-(\d+)x(\d+)$")
-
-
-def _finite_positive(value):
-    """True for a positive, finite number (NaN and infinities fail)."""
-    return value > 0 and math.isfinite(value)
 
 
 def params_preset(name):
@@ -172,7 +166,7 @@ class TenantSpec:
                 f"tenant {self.name!r}: unknown kind {self.kind!r}; "
                 f"choose from {_TENANT_KINDS}"
             )
-        if self.deadline_seconds is not None and not _finite_positive(
+        if self.deadline_seconds is not None and not finite_positive(
                 self.deadline_seconds):
             raise ValueError(
                 f"tenant {self.name!r}: deadline_seconds must be "
@@ -376,7 +370,7 @@ class Scenario:
     autoscale: AutoscaleConfig = None
 
     def __post_init__(self):
-        if not _finite_positive(self.duration_seconds):
+        if not finite_positive(self.duration_seconds):
             raise ValueError(
                 f"duration_seconds must be positive and finite, got "
                 f"{self.duration_seconds!r}"
@@ -436,7 +430,7 @@ class Scenario:
         """A copy with CLI-level overrides applied (None = keep)."""
         import dataclasses
 
-        if duration is not None and not _finite_positive(float(duration)):
+        if duration is not None and not finite_positive(float(duration)):
             raise ValueError(
                 f"duration override must be positive and finite, got "
                 f"{duration!r}"
