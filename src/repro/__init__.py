@@ -3,7 +3,8 @@
 A full-system reproduction of the HPCA 2025 paper, comprising:
 
 * :mod:`repro.ckks` — a from-scratch functional CKKS implementation
-  (with :mod:`repro.math` and :mod:`repro.poly` underneath);
+  (with :mod:`repro.math` and :mod:`repro.poly` underneath; the numpy
+  NTT kernels in :mod:`repro.math.ntt` are the one kernel path);
 * :mod:`repro.hw`, :mod:`repro.cost` — FPGA card/cluster models and the
   per-operation latency/energy models at the paper's parameters;
 * :mod:`repro.sim` — the discrete-event simulator executing per-card task
@@ -16,10 +17,13 @@ A full-system reproduction of the HPCA 2025 paper, comprising:
 * :mod:`repro.runtime` — the parallel experiment runtime: declarative
   run requests, process-pool fan-out with deterministic merging, the
   persistent fingerprint-keyed plan store, and run manifests;
+* :mod:`repro.ir` — the shared FHE-op vocabulary and op counting;
+* :mod:`repro.serve`, :mod:`repro.llm` — multi-tenant serving (DES and
+  live HTTP) and autoregressive transformer sessions;
+* :mod:`repro.obs`, :mod:`repro.perf` — metrics, tracing and reports,
+  and the pinned microbenchmark suite;
 * :mod:`repro.analysis` — censuses and table rendering for the
-  experiment harnesses in ``benchmarks/``;
-* :mod:`repro.backend` — pluggable kernel providers (numpy / numba)
-  behind the NTT/RNS hot path.
+  experiment harnesses in ``benchmarks/``.
 """
 
 from repro.core import HydraSystem

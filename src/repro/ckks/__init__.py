@@ -46,7 +46,6 @@ from repro.ckks.network import (
     EncryptedNetwork,
     PoolLayer,
 )
-from repro.ckks.noise import NoiseEstimator, measure_noise
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder
@@ -73,9 +72,7 @@ __all__ = [
     "ConvLayer",
     "DenseLayer",
     "EncryptedNetwork",
-    "NoiseEstimator",
     "PoolLayer",
-    "measure_noise",
     "PlainMatrixProduct",
     "average_pool_kernel",
     "chebyshev_fit",

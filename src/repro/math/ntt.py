@@ -25,11 +25,9 @@ long contiguous runs instead of SIMD-hostile strided pairs.
 :class:`NttKernel` runs the same network over a ``(limbs, N)`` stack of
 residue polynomials with per-limb moduli — the building block
 :class:`~repro.poly.RnsContext` uses to batch limb loops into single
-ndarray ops.  Twiddle tables are shared through the
-:func:`get_ntt_context` / :func:`get_ntt_kernel` factories, which are
-**provider-scoped**: each :class:`repro.backend.KernelProvider` owns
-its own context/kernel caches, so a (degree, modulus) pair is only ever
-tabulated once per provider and backends never share cached tables.
+ndarray ops.  Twiddle tables are shared through the memoizing
+:func:`get_ntt_context` / :func:`get_ntt_kernel` factories, so a
+(degree, modulus) pair is only ever tabulated once per process.
 """
 
 from __future__ import annotations
@@ -109,9 +107,8 @@ class NttKernel:
     (cheaper when the caller immediately multiplies pointwise and reduces).
 
     ``contexts`` (keyword-only, optional) are the per-prime
-    :class:`NttContext` tables to stack; kernel providers pass their own
-    cached contexts here so backends never share twiddle tables.  When
-    omitted, tables come from the default provider's cache.
+    :class:`NttContext` tables to stack; when omitted, they come from
+    :func:`get_ntt_context`.
     """
 
     def __init__(self, poly_degree: int, *, moduli, contexts=None):
@@ -264,15 +261,10 @@ class NttContext:
     convolution, which is exactly the CKKS ring product.
 
     Prefer :func:`get_ntt_context` over direct construction — contexts are
-    immutable, and the factory shares twiddle tables per provider.
-
-    ``provider`` (keyword-only, optional) is the
-    :class:`repro.backend.KernelProvider` that owns this context; when
-    set, the :attr:`kernel` property builds its single-limb kernel
-    through that provider so the kernel class matches the backend.
+    immutable, and the factory shares twiddle tables.
     """
 
-    def __init__(self, poly_degree: int, *, modulus: int, provider=None):
+    def __init__(self, poly_degree: int, *, modulus: int):
         if poly_degree < 2 or poly_degree & (poly_degree - 1):
             raise ValueError(
                 f"poly_degree must be a power of two >= 2, got {poly_degree}"
@@ -297,21 +289,15 @@ class NttContext:
         self._psi_inv_rev.setflags(write=False)
         self._degree_inv = np.uint64(mod_inverse(poly_degree, modulus))
         self._q = np.uint64(modulus)
-        self._provider = provider
         self._kernel = None
 
     @property
     def kernel(self) -> NttKernel:
-        """The single-limb kernel running this transform (provider-built)."""
+        """The single-limb kernel running this transform."""
         if self._kernel is None:
-            if self._provider is not None:
-                self._kernel = self._provider.get_kernel(
-                    self.poly_degree, (self.modulus,)
-                )
-            else:
-                self._kernel = NttKernel(
-                    self.poly_degree, moduli=(self.modulus,), contexts=(self,)
-                )
+            self._kernel = NttKernel(
+                self.poly_degree, moduli=(self.modulus,), contexts=(self,)
+            )
         return self._kernel
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -348,39 +334,36 @@ class NttContext:
         return arr
 
 
-def get_ntt_context(
-    poly_degree: int, modulus: int, backend=None
-) -> NttContext:
-    """Provider-scoped factory for :class:`NttContext` instances.
+_CONTEXTS = {}  # (degree, modulus) -> NttContext
+_KERNELS = {}   # (degree, moduli) -> NttKernel
+
+
+def get_ntt_context(poly_degree: int, modulus: int) -> NttContext:
+    """Memoizing factory for :class:`NttContext` instances.
 
     Twiddle-table construction is ``O(N)`` big-int work; before this
     factory every :class:`~repro.poly.RnsContext` rebuilt the tables for
-    every prime.  Two lookups with the same ``(degree, modulus)`` on the
-    same provider return the *same* object; distinct providers never
-    share tables (``backend`` resolves per :mod:`repro.backend`
-    precedence when ``None``).
+    every prime.  Two lookups with the same ``(degree, modulus)`` return
+    the *same* object.
     """
-    from repro.backend import resolve_backend
+    key = (int(poly_degree), int(modulus))
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = NttContext(key[0], modulus=key[1])
+    return ctx
 
-    return resolve_backend(backend).get_context(
-        int(poly_degree), int(modulus)
-    )
 
-
-def get_ntt_kernel(poly_degree: int, moduli: tuple, backend=None):
-    """Provider-scoped factory for stacked :class:`NttKernel` instances."""
-    from repro.backend import resolve_backend
-
-    return resolve_backend(backend).get_kernel(
-        int(poly_degree), tuple(int(q) for q in moduli)
-    )
+def get_ntt_kernel(poly_degree: int, moduli: tuple) -> NttKernel:
+    """Memoizing factory for stacked :class:`NttKernel` instances."""
+    key = (int(poly_degree), tuple(int(q) for q in moduli))
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        kernel = _KERNELS[key] = NttKernel(key[0], moduli=key[1])
+    return kernel
 
 
 def clear_ntt_caches() -> None:
-    """Drop every provider's memoized contexts/kernels + permutations.
-
-    Alias of :func:`repro.backend.clear_caches` (tests only).
-    """
-    from repro.backend import clear_caches
-
-    clear_caches()
+    """Drop every memoized context, kernel and permutation (tests only)."""
+    _CONTEXTS.clear()
+    _KERNELS.clear()
+    _bit_reverse_cached.cache_clear()

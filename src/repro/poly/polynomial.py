@@ -9,10 +9,9 @@ per-basis constant columns memoized on the context.  Polynomials are value
 objects: every operation returns a new polynomial; in-place mutation is
 never exposed.
 
-Element-wise arithmetic (add/sub/negate/scalar-multiply/automorphism)
-dispatches through the context's kernel provider
-(:class:`repro.backend.KernelProvider`), the same seam the NTT kernels
-use, so a backend can accelerate the whole hot path.
+Element-wise arithmetic uses the same lazy-reduction trick as the NTT: a
+sum of two residues is below ``2q``, and the wraparound ``np.minimum(x,
+x - q)`` conditional subtraction replaces a ``%``.
 """
 
 from __future__ import annotations
@@ -169,20 +168,23 @@ class RnsPoly:
         """Return ``self + other``."""
         self._check_compatible(other)
         q = self._moduli_column()
-        out = self.context.backend.rns_add(self.data, other.data, q)
+        s = self.data + other.data
+        out = np.minimum(s, s - q)
         return RnsPoly(self.context, out, self.basis)
 
     def sub(self, other):
         """Return ``self - other``."""
         self._check_compatible(other)
         q = self._moduli_column()
-        out = self.context.backend.rns_sub(self.data, other.data, q)
+        d = self.data + (q - other.data)
+        out = np.minimum(d, d - q)
         return RnsPoly(self.context, out, self.basis)
 
     def negate(self):
         """Return ``-self``."""
         q = self._moduli_column()
-        out = self.context.backend.rns_negate(self.data, q)
+        d = q - self.data
+        out = np.minimum(d, d - q)
         return RnsPoly(self.context, out, self.basis)
 
     def multiply(self, other):
@@ -201,7 +203,7 @@ class RnsPoly:
             [scalar % self.context.moduli[idx] for idx in self.basis],
             dtype=np.uint64,
         )[:, None]
-        out = self.context.backend.rns_scalar_mul(self.data, s_col, q)
+        out = self.data * s_col % q
         return RnsPoly(self.context, out, self.basis)
 
     # ------------------------------------------------------------------
@@ -221,9 +223,10 @@ class RnsPoly:
             raise ValueError(f"galois element must be odd, got {galois_element}")
         dest, flip = _automorphism_maps(n, g)
         q = self._moduli_column()
-        out = self.context.backend.rns_automorphism(
-            self.data, dest, flip, q
-        )
+        neg = q - self.data
+        src = np.where(flip[None, :], np.minimum(neg, neg - q), self.data)
+        out = np.empty_like(self.data)
+        out[:, dest] = src
         return RnsPoly(self.context, out, self.basis)
 
     # ------------------------------------------------------------------

@@ -11,18 +11,17 @@ Limb loops are batched: ring products run through stacked
 single ndarray ops (chunk size bounded by :data:`_CHUNK_ELEMENTS` so the
 working set stays cache-resident at large ``N``), and the per-basis
 constant columns every operation needs are memoized on the context.
-
-All kernels come from the context's :class:`repro.backend.KernelProvider`
-(the ``backend`` constructor argument, resolved per the registry
-precedence), which owns the twiddle/kernel caches the context draws from.
+Twiddle tables and kernels come from the process-wide
+:func:`~repro.math.ntt.get_ntt_context` / :func:`~repro.math.ntt.get_ntt_kernel`
+memos.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.math.modular import mod_inverse
+from repro.math.ntt import get_ntt_context, get_ntt_kernel
 from repro.math.primes import find_ntt_primes
 from repro.obs.metrics import inc as _metric_inc
 
@@ -45,24 +44,17 @@ class RnsContext:
         The ciphertext moduli ``q_0 .. q_L`` (ordered; ``q_0`` first).
     special_moduli:
         The keyswitch extension moduli ``p_0 .. p_{k-1}``.
-    backend:
-        Kernel provider spec (instance, registry name, or ``None`` for
-        the environment default); every NTT context/kernel this chain
-        uses comes from that provider's caches.
     """
 
-    def __init__(self, poly_degree, data_moduli, special_moduli,
-                 backend=None):
+    def __init__(self, poly_degree, data_moduli, special_moduli):
         self.poly_degree = int(poly_degree)
         self.data_moduli = tuple(int(q) for q in data_moduli)
         self.special_moduli = tuple(int(p) for p in special_moduli)
         self.moduli = self.data_moduli + self.special_moduli
         if len(set(self.moduli)) != len(self.moduli):
             raise ValueError("moduli chain contains duplicates")
-        self.backend = resolve_backend(backend)
         self.ntts = tuple(
-            self.backend.get_context(self.poly_degree, q)
-            for q in self.moduli
+            get_ntt_context(self.poly_degree, q) for q in self.moduli
         )
         self.data_indices = tuple(range(len(self.data_moduli)))
         self.special_indices = tuple(
@@ -86,7 +78,6 @@ class RnsContext:
         num_scale_moduli,
         special_modulus_bits=None,
         num_special_moduli=1,
-        backend=None,
     ):
         """Build a chain ``[q_0, scale primes..., special primes...]``.
 
@@ -106,7 +97,7 @@ class RnsContext:
             num_special_moduli,
             exclude=tuple(first) + tuple(scales),
         )
-        return cls(poly_degree, first + scales, specials, backend=backend)
+        return cls(poly_degree, first + scales, specials)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -176,7 +167,7 @@ class RnsContext:
             chunks = []
             for start in range(0, len(basis), step):
                 part = basis[start : start + step]
-                kernel = self.backend.get_kernel(
+                kernel = get_ntt_kernel(
                     self.poly_degree,
                     tuple(self.moduli[i] for i in part),
                 )
@@ -264,14 +255,27 @@ class RnsContext:
         result can be off by a small additive error (bounded by the number
         of source limbs), which is absorbed by CKKS noise — exactly the
         approximation FHE hardware implements.
-
-        The arithmetic itself runs in the context's kernel provider
-        (:meth:`repro.backend.KernelProvider.base_convert`).
         """
         data = np.asarray(data, dtype=np.uint64)
         if data.shape[0] != len(from_idx):
             raise ValueError(
                 f"data has {data.shape[0]} limbs, basis has {len(from_idx)}"
             )
-        tables = self._conversion_tables(from_idx, to_idx)
-        return self.backend.base_convert(data, tables)
+        (qhat_inv, qhat_mod_target, prod_mod_target,
+         from_col, to_col, from_inv) = self._conversion_tables(from_idx,
+                                                               to_idx)
+        n = data.shape[1]
+        # t_i = x_i * (Q/q_i)^{-1} mod q_i, all limbs in one pass.
+        t = data * qhat_inv % from_col
+        # v counts how many multiples of Q the CRT sum overshoots by.
+        frac = (t.astype(np.float64) * from_inv).sum(axis=0)
+        v = np.rint(frac).astype(np.uint64)
+        out = np.zeros((to_col.shape[0], n), dtype=np.uint64)
+        for i in range(t.shape[0]):
+            # acc and the reduced product are both < p, so the sum is
+            # < 2p and one wraparound-minimum replaces the second ``%``.
+            s = out + t[i][None, :] * qhat_mod_target[i][:, None] % to_col
+            out = np.minimum(s, s - to_col)
+        correction = v[None, :] * prod_mod_target % to_col
+        out += to_col - correction
+        return np.minimum(out, out - to_col)

@@ -706,7 +706,7 @@ class LiveServer:
 
 def run_live(ref, host="127.0.0.1", port=8377, fleet=None, warm=False,
              warm_workers=2, max_inflight=64, time_scale=1.0, jobs=1,
-             cache=None, use_cache=True, backend=None, out=print,
+             cache=None, use_cache=True, out=print,
              ready=None):
     """Boot the live serving runtime; blocks until shutdown.
 
@@ -728,7 +728,7 @@ def run_live(ref, host="127.0.0.1", port=8377, fleet=None, warm=False,
         f"(fleet {fleet_name!r}) ...")
     profiles, manifest = prepare_profiles(
         scenario, [fleet_name], jobs=jobs, cache=cache,
-        use_cache=use_cache, backend=backend)
+        use_cache=use_cache)
     out(f"plans ready: {manifest.summary()}")
     pool = LiveWorkerPool(size=warm_workers)
     if warm:

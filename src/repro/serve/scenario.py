@@ -47,6 +47,7 @@ tenants are autoregressive transformer sessions with seeded
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -303,8 +304,8 @@ class BatchConfig:
     def __post_init__(self):
         if self.max_requests < 1:
             raise ValueError("batch.max_requests must be >= 1")
-        if self.window_seconds < 0:
-            raise ValueError("batch.window_seconds must be >= 0")
+        if not 0 <= self.window_seconds < math.inf:
+            raise ValueError("batch.window_seconds must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -323,11 +324,13 @@ class Overheads:
     compute_per_extra_request: float = 0.0
 
     def __post_init__(self):
-        if self.batch_setup_seconds < 0:
-            raise ValueError("overheads.batch_setup_seconds must be >= 0")
-        if self.compute_per_extra_request < 0:
+        if not 0 <= self.batch_setup_seconds < math.inf:
             raise ValueError(
-                "overheads.compute_per_extra_request must be >= 0"
+                "overheads.batch_setup_seconds must be >= 0 and finite"
+            )
+        if not 0 <= self.compute_per_extra_request < math.inf:
+            raise ValueError(
+                "overheads.compute_per_extra_request must be >= 0 and finite"
             )
 
 

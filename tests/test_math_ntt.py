@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.math.ntt import NttContext, bit_reverse_permutation
+from repro.math.ntt import (
+    NttContext,
+    NttKernel,
+    _bit_reverse_cached,
+    bit_reverse_permutation,
+    clear_ntt_caches,
+    get_ntt_context,
+    get_ntt_kernel,
+)
 from repro.math.primes import find_ntt_primes
 
 
@@ -95,3 +103,45 @@ class TestNttValidation:
         ctx = NttContext(64, modulus=q)
         with pytest.raises(ValueError):
             ctx.forward(np.zeros(32, dtype=np.uint64))
+
+
+class TestKeywordOnlyConstructors:
+    def test_ntt_context_requires_keyword_modulus(self):
+        q = find_ntt_primes(64, 25, 1)[0]
+        with pytest.raises(TypeError):
+            NttContext(64, q)
+        assert NttContext(64, modulus=q).modulus == q
+
+    def test_ntt_kernel_requires_keyword_moduli(self):
+        q = find_ntt_primes(64, 25, 1)[0]
+        with pytest.raises(TypeError):
+            NttKernel(64, (q,))
+        assert NttKernel(64, moduli=(q,)).moduli == (q,)
+
+    def test_kernel_rejects_mismatched_contexts(self):
+        qs = find_ntt_primes(64, 25, 2)
+        ctx = NttContext(64, modulus=qs[0])
+        with pytest.raises(ValueError):
+            NttKernel(64, moduli=qs, contexts=(ctx,))
+
+
+class TestNttCaches:
+    def test_clear_ntt_caches_empties_context_and_kernel_memo(self):
+        q = find_ntt_primes(64, 25, 1)[0]
+        ctx = get_ntt_context(64, q)
+        kernel = get_ntt_kernel(64, (q,))
+        clear_ntt_caches()
+        assert get_ntt_context(64, q) is not ctx
+        assert get_ntt_kernel(64, (q,)) is not kernel
+
+    def test_clear_ntt_caches_empties_every_memo(self):
+        qs = find_ntt_primes(64, 25, 2) + find_ntt_primes(128, 25, 1)
+        keys = [(64, qs[0]), (64, qs[1]), (128, qs[2])]
+        contexts = {key: get_ntt_context(*key) for key in keys}
+        kernel = get_ntt_kernel(64, tuple(qs[:2]))
+        bit_reverse_permutation(64)
+        clear_ntt_caches()
+        assert _bit_reverse_cached.cache_info().currsize == 0
+        for key, ctx in contexts.items():
+            assert get_ntt_context(*key) is not ctx
+        assert get_ntt_kernel(64, tuple(qs[:2])) is not kernel

@@ -127,6 +127,12 @@ class TestNonFiniteNumbers:
         ("rate_rps", "Infinity"),
         ("deadline_seconds", "NaN"),
         ("deadline_seconds", "Infinity"),
+        ("window_seconds", "NaN"),
+        ("window_seconds", "Infinity"),
+        ("batch_setup_seconds", "NaN"),
+        ("batch_setup_seconds", "Infinity"),
+        ("compute_per_extra_request", "NaN"),
+        ("compute_per_extra_request", "Infinity"),
     ])
     def test_scenario_file(self, tmp_path, where, token):
         from repro.core.cli import main
@@ -134,17 +140,21 @@ class TestNonFiniteNumbers:
         value = float(token.lower().replace("infinity", "inf"))
         doc = load_scenario("steady_hydra_m").to_dict()
         tenant = doc["tenants"][0]
+        message = f"{where} must be positive and finite"
         if where == "duration_seconds":
             doc[where] = value
         elif where == "rate_rps":
             tenant["arrival"][where] = value
-        else:
+        elif where == "deadline_seconds":
             tenant[where] = value
+        else:
+            section = "batch" if where == "window_seconds" else "overheads"
+            doc[section][where] = value
+            message = f"{section}.{where} must be >= 0 and finite"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert token in path.read_text(encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{where} must be positive "
-                                             f"and finite"):
+        with pytest.raises(ValueError, match=message):
             load_scenario(str(path))
         lines = []
         assert main(["serve", str(path)], out=lines.append) == 2
