@@ -351,13 +351,20 @@ def _cmd_list(_args, out):
     return 0
 
 
+def _error_line(exc):
+    """One ``error:`` line; a KeyError's message without repr quotes."""
+    if isinstance(exc, KeyError) and exc.args:
+        return f"error: {exc.args[0]}"
+    return f"error: {exc}"
+
+
 def _cmd_run(args, out):
     try:
         system = HydraSystem.named(args.system)
-    except ValueError as exc:
-        out(f"error: {exc}")
+        result = system.run(args.benchmark, with_energy=not args.no_energy)
+    except (KeyError, ValueError) as exc:  # unknown name; unreadable store
+        out(_error_line(exc))
         return 2
-    result = system.run(args.benchmark, with_energy=not args.no_energy)
     out(f"{args.benchmark} on {args.system} "
         f"({system.total_cards} cards)")
     out(f"  total time:    {result.total_seconds:.2f} s")
@@ -767,8 +774,8 @@ def _cmd_serve(args, out):
                 warm_workers=args.warm_workers,
                 max_inflight=args.max_inflight,
                 time_scale=args.time_scale, jobs=args.jobs, out=out)
-        except (OSError, ValueError, KeyError) as exc:
-            out(f"error: {exc}")
+        except (OSError, ValueError, KeyError) as exc:  # KeyError: --fleet
+            out(_error_line(exc))
             return 2
     recorders = {}
     try:
@@ -777,8 +784,8 @@ def _cmd_serve(args, out):
             dispatch=args.dispatch, policy=args.policy, fleet=args.fleet,
             jobs=args.jobs, exact=args.exact,
             recorders=recorders)
-    except (OSError, ValueError, KeyError) as exc:
-        out(f"error: {exc}")
+    except (OSError, ValueError, KeyError) as exc:  # KeyError: --fleet
+        out(_error_line(exc))
         return 2
     if args.validate:
         try:
@@ -817,7 +824,7 @@ def _cmd_capacity(args, out):
             max_replicas=args.max_replicas, jobs=args.jobs,
             seed=args.seed,
             duration=args.duration)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         out(f"error: {exc}")
         return 2
     if args.validate:

@@ -25,6 +25,7 @@ from repro.models.transformer import (
     _MATMUL_LEVELS,
 )
 from repro.serve.arrivals import tenant_seed
+from repro.serve.fields import read
 
 __all__ = [
     "KV_LEVELS_PER_TOKEN",
@@ -119,37 +120,27 @@ def levels_schedule(max_level, tokens):
 
 def validate_token_distribution(tenant_name, field_name, options):
     """Validate one tenant's token-count spec; raises ``ValueError``."""
+    where = f"tenant {tenant_name!r}: {field_name}"
     if not isinstance(options, dict):
-        raise ValueError(
-            f"tenant {tenant_name!r}: {field_name} must be an object")
-    dist = options.get("distribution", "fixed")
-    if dist not in TOKEN_DISTRIBUTIONS:
-        raise ValueError(
-            f"tenant {tenant_name!r}: unknown {field_name} distribution "
-            f"{dist!r} (expected one of {', '.join(TOKEN_DISTRIBUTIONS)})")
+        raise ValueError(f"{where} must be an object")
+    dist = read(options.get("distribution", "fixed"), str,
+                f"{where}.distribution", choices=TOKEN_DISTRIBUTIONS)
     unknown = set(options) - _DIST_KEYS[dist]
     if unknown:
         raise ValueError(
             f"tenant {tenant_name!r}: unknown {field_name} key(s) "
             f"{sorted(unknown)} for distribution {dist!r}")
     if dist == "fixed":
-        value = options.get("value", 1)
-        if int(value) != value or value < 1:
-            raise ValueError(
-                f"tenant {tenant_name!r}: {field_name} value must be a "
-                f"positive integer, got {value!r}")
+        read(options.get("value", 1), int, f"{where}.value", gt=0)
     elif dist == "uniform":
-        lo, hi = options.get("min", 1), options.get("max", 1)
-        if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
+        lo = read(options.get("min", 1), int, f"{where}.min", gt=0)
+        hi = read(options.get("max", 1), int, f"{where}.max", gt=0)
+        if hi < lo:
             raise ValueError(
-                f"tenant {tenant_name!r}: {field_name} needs integer "
-                f"1 <= min <= max, got min={lo!r} max={hi!r}")
+                f"{where} needs integer 1 <= min <= max, got min={lo!r} "
+                f"max={hi!r}")
     else:  # geometric
-        mean = options.get("mean", 1.0)
-        if not mean >= 1.0:
-            raise ValueError(
-                f"tenant {tenant_name!r}: {field_name} mean must be "
-                f">= 1, got {mean!r}")
+        read(options.get("mean", 1.0), float, f"{where}.mean", min=1)
 
 
 class TokenSampler:

@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import math
 import zlib
+from typing import Tuple
 
 import numpy as np
 
+from repro.serve.fields import check, read
+
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "finite_positive",
     "generate_arrivals",
     "iter_arrivals",
     "peak_rate",
@@ -54,20 +56,21 @@ __all__ = [
 #: Supported arrival process names.
 ARRIVAL_PROCESSES = ("poisson", "uniform", "diurnal", "flash", "mmpp")
 
-#: Per-process extra option keys (beyond ``process`` / ``rate_rps``).
-_OPTION_KEYS = {
-    "poisson": frozenset(),
-    "uniform": frozenset(),
-    "diurnal": frozenset({"amplitude", "period_seconds", "phase"}),
-    "flash": frozenset({"spike_multiplier", "spike_start_seconds",
-                        "spike_duration_seconds"}),
-    "mmpp": frozenset({"rates_rps", "mean_sojourn_seconds"}),
+#: Per-process extra options (beyond ``process`` / ``rate_rps``) as
+#: ``key -> (default, bounds)``; ``mmpp``'s options are lists whose
+#: every element meets the bounds, and have no default.
+_OPTIONS = {
+    "poisson": {},
+    "uniform": {},
+    "diurnal": {"amplitude": (0.5, {"min": 0, "max": 1}),
+                "period_seconds": (86400.0, {"gt": 0}),
+                "phase": (0.0, {"min": 0, "lt": 1})},
+    "flash": {"spike_multiplier": (10.0, {"min": 1}),
+              "spike_start_seconds": (0.0, {"min": 0}),
+              "spike_duration_seconds": (0.0, {"gt": 0})},
+    "mmpp": {"rates_rps": (None, {"gt": 0}),
+             "mean_sojourn_seconds": (None, {"gt": 0})},
 }
-
-
-def finite_positive(value):
-    """True for a positive, finite number (NaN and infinities fail)."""
-    return value > 0 and math.isfinite(value)
 
 
 def tenant_seed(scenario_seed, tenant_name):
@@ -75,91 +78,52 @@ def tenant_seed(scenario_seed, tenant_name):
     return (int(scenario_seed), zlib.crc32(tenant_name.encode("utf-8")))
 
 
-def validate_arrival(name, process, rate_rps, options):
-    """Validate one tenant's arrival spec; raises ``ValueError``.
+def validate_arrival(name, process, options):
+    """Validate one tenant's process-specific arrival options.
 
-    ``options`` is the process-specific extras dict (see
-    ``_OPTION_KEYS``); unknown processes, unknown keys, and
-    out-of-range values all fail fast at scenario-load time.
+    ``process`` is one of :data:`ARRIVAL_PROCESSES` (the tenant's field
+    table checks it, and ``rate_rps``); ``options`` is the extras dict.
+    Unknown keys and mistyped, missing or out-of-range values raise
+    ``ValueError`` at scenario-load time.
     """
-    if process not in ARRIVAL_PROCESSES:
-        raise ValueError(
-            f"tenant {name!r}: unknown arrival process {process!r}; "
-            f"choose from {ARRIVAL_PROCESSES}"
-        )
-    if not finite_positive(rate_rps):
-        raise ValueError(f"tenant {name!r}: rate_rps must be positive "
-                         f"and finite, got {rate_rps!r}")
-    allowed = _OPTION_KEYS[process]
-    unknown = sorted(set(options) - allowed)
+    table = _OPTIONS[process]
+    unknown = sorted(set(options) - set(table))
     if unknown:
         raise ValueError(
             f"tenant {name!r}: unknown arrival option(s) {unknown} for "
-            f"process {process!r}; allowed: {sorted(allowed) or 'none'}"
+            f"process {process!r}; allowed: {sorted(table) or 'none'}"
         )
-    if process == "diurnal":
-        amplitude = float(options.get("amplitude", 0.5))
-        period = float(options.get("period_seconds", 86400.0))
-        phase = float(options.get("phase", 0.0))
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError(
-                f"tenant {name!r}: diurnal amplitude must be in [0, 1]"
-            )
-        if period <= 0:
-            raise ValueError(
-                f"tenant {name!r}: diurnal period_seconds must be positive"
-            )
-        if not 0.0 <= phase < 1.0:
-            raise ValueError(
-                f"tenant {name!r}: diurnal phase must be in [0, 1)"
-            )
-    elif process == "flash":
-        multiplier = float(options.get("spike_multiplier", 10.0))
-        start = float(options.get("spike_start_seconds", 0.0))
-        dur = float(options.get("spike_duration_seconds", 0.0))
-        if multiplier < 1.0:
-            raise ValueError(
-                f"tenant {name!r}: flash spike_multiplier must be >= 1"
-            )
-        if start < 0:
-            raise ValueError(
-                f"tenant {name!r}: flash spike_start_seconds must be >= 0"
-            )
-        if dur <= 0:
-            raise ValueError(
-                f"tenant {name!r}: flash spike_duration_seconds must be "
-                f"positive"
-            )
-    elif process == "mmpp":
-        rates = options.get("rates_rps")
-        sojourns = options.get("mean_sojourn_seconds")
-        if not rates or not sojourns:
-            raise ValueError(
-                f"tenant {name!r}: mmpp needs rates_rps and "
-                f"mean_sojourn_seconds"
-            )
-        if len(rates) != len(sojourns) or len(rates) < 2:
-            raise ValueError(
-                f"tenant {name!r}: mmpp rates_rps and mean_sojourn_seconds "
-                f"must have the same length >= 2"
-            )
-        if any(r <= 0 for r in rates) or any(s <= 0 for s in sojourns):
-            raise ValueError(
-                f"tenant {name!r}: mmpp rates and sojourns must be positive"
-            )
+    where = f"tenant {name!r}: arrival"
+    for key, (default, bounds) in table.items():
+        value, path = options.get(key, default), f"{where}.{key}"
+        if process == "mmpp":
+            for i, item in enumerate(read(value, Tuple[float, ...], path)):
+                check(item, float, f"{path}[{i}]", bounds)
+        else:
+            read(value, float, path, **bounds)
+    if process == "mmpp" and not (
+            len(options["rates_rps"])
+            == len(options["mean_sojourn_seconds"]) >= 2):
+        raise ValueError(
+            f"tenant {name!r}: mmpp rates_rps and mean_sojourn_seconds "
+            f"must have the same length >= 2"
+        )
+
+
+def _option(tenant, key):
+    """``tenant``'s arrival option ``key`` (or its default) as a float."""
+    return float(tenant.arrival_options.get(
+        key, _OPTIONS[tenant.process][key][0]))
 
 
 def peak_rate(tenant):
     """The process's peak instantaneous rate (thinning envelope)."""
-    options = tenant.arrival_options
     if tenant.process == "diurnal":
-        return tenant.rate_rps * (1.0
-                                  + float(options.get("amplitude", 0.5)))
+        return tenant.rate_rps * (1.0 + _option(tenant, "amplitude"))
     if tenant.process == "flash":
-        return tenant.rate_rps * float(options.get("spike_multiplier",
-                                                   10.0))
+        return tenant.rate_rps * _option(tenant, "spike_multiplier")
     if tenant.process == "mmpp":
-        return max(float(r) for r in options["rates_rps"])
+        return max(float(r) for r in tenant.arrival_options["rates_rps"])
     return tenant.rate_rps
 
 
@@ -205,7 +169,6 @@ def iter_arrivals(tenant, scenario_seed, duration):
     10⁶-request scenario costs O(tenants) arrival state.
     """
     rate = tenant.rate_rps
-    options = tenant.arrival_options
     if tenant.process == "uniform":
         period = 1.0 / rate
         t = 0.5 * period
@@ -222,18 +185,18 @@ def iter_arrivals(tenant, scenario_seed, duration):
         return
     peak = peak_rate(tenant)
     if tenant.process == "diurnal":
-        amplitude = float(options.get("amplitude", 0.5))
-        period = float(options.get("period_seconds", 86400.0))
-        phase = float(options.get("phase", 0.0))
+        amplitude = _option(tenant, "amplitude")
+        period = _option(tenant, "period_seconds")
+        phase = _option(tenant, "phase")
 
         def rate_at(t):
             return rate * (1.0 + amplitude
                            * math.sin(2.0 * math.pi
                                       * (t / period + phase)))
     elif tenant.process == "flash":
-        multiplier = float(options.get("spike_multiplier", 10.0))
-        start = float(options.get("spike_start_seconds", 0.0))
-        end = start + float(options.get("spike_duration_seconds", 0.0))
+        multiplier = _option(tenant, "spike_multiplier")
+        start = _option(tenant, "spike_start_seconds")
+        end = start + _option(tenant, "spike_duration_seconds")
 
         def rate_at(t):
             return rate * multiplier if start <= t < end else rate

@@ -33,8 +33,10 @@ Policies (registered in :data:`AUTOSCALE_POLICIES`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.obs.streaming import StreamingHistogram
+from repro.serve.fields import Block, spec
 
 __all__ = [
     "AUTOSCALE_POLICIES",
@@ -43,100 +45,6 @@ __all__ = [
     "ScaleView",
     "make_autoscale_policy",
 ]
-
-
-@dataclass(frozen=True)
-class AutoscaleConfig:
-    """The scenario's ``autoscale`` block.
-
-    ``cluster`` is the shape of elastic replicas (a fleet-entry string:
-    registry name or ``hydra-SxC`` shorthand); ``fleets`` restricts the
-    block to the named fleets (None = every fleet in the scenario, the
-    static ones in a comparison scenario opt out by listing only the
-    elastic fleet).
-    """
-
-    policy: str = "queue_depth"
-    cluster: str = "Hydra-M"
-    min_replicas: int = 0
-    max_replicas: int = 4
-    evaluation_interval_seconds: float = 5.0
-    warmup_seconds: float = 15.0
-    hysteresis_seconds: float = 30.0
-    scale_up_step: int = 1
-    scale_down_step: int = 1
-    up_threshold: float = 8.0
-    down_threshold: float = 0.0
-    fleets: tuple = None  # None = all fleets
-
-    def __post_init__(self):
-        if self.policy not in AUTOSCALE_POLICIES:
-            raise ValueError(
-                f"unknown autoscale policy {self.policy!r}; "
-                f"choose from {sorted(AUTOSCALE_POLICIES)}"
-            )
-        if self.min_replicas < 0:
-            raise ValueError("autoscale.min_replicas must be >= 0")
-        if self.max_replicas < max(1, self.min_replicas):
-            raise ValueError(
-                "autoscale.max_replicas must be >= max(1, min_replicas)"
-            )
-        if self.evaluation_interval_seconds <= 0:
-            raise ValueError(
-                "autoscale.evaluation_interval_seconds must be positive"
-            )
-        if self.warmup_seconds < 0:
-            raise ValueError("autoscale.warmup_seconds must be >= 0")
-        if self.hysteresis_seconds < 0:
-            raise ValueError("autoscale.hysteresis_seconds must be >= 0")
-        if self.scale_up_step < 1 or self.scale_down_step < 1:
-            raise ValueError("autoscale scale steps must be >= 1")
-        if self.down_threshold >= self.up_threshold:
-            raise ValueError(
-                "autoscale.down_threshold must be strictly below "
-                "up_threshold (the hysteresis band)"
-            )
-
-    @classmethod
-    def from_dict(cls, data):
-        fleets = data.get("fleets")
-        return cls(
-            policy=data.get("policy", "queue_depth"),
-            cluster=data.get("cluster", "Hydra-M"),
-            min_replicas=int(data.get("min_replicas", 0)),
-            max_replicas=int(data.get("max_replicas", 4)),
-            evaluation_interval_seconds=float(
-                data.get("evaluation_interval_seconds", 5.0)),
-            warmup_seconds=float(data.get("warmup_seconds", 15.0)),
-            hysteresis_seconds=float(data.get("hysteresis_seconds", 30.0)),
-            scale_up_step=int(data.get("scale_up_step", 1)),
-            scale_down_step=int(data.get("scale_down_step", 1)),
-            up_threshold=float(data.get("up_threshold", 8.0)),
-            down_threshold=float(data.get("down_threshold", 0.0)),
-            fleets=None if fleets is None else tuple(fleets),
-        )
-
-    def to_dict(self):
-        doc = {
-            "policy": self.policy,
-            "cluster": self.cluster,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "evaluation_interval_seconds":
-                self.evaluation_interval_seconds,
-            "warmup_seconds": self.warmup_seconds,
-            "hysteresis_seconds": self.hysteresis_seconds,
-            "scale_up_step": self.scale_up_step,
-            "scale_down_step": self.scale_down_step,
-            "up_threshold": self.up_threshold,
-            "down_threshold": self.down_threshold,
-        }
-        if self.fleets is not None:
-            doc["fleets"] = list(self.fleets)
-        return doc
-
-    def applies_to(self, fleet_name):
-        return self.fleets is None or fleet_name in self.fleets
 
 
 class _WindowStats:
@@ -223,6 +131,48 @@ class _BurnRatePolicy:
 
 AUTOSCALE_POLICIES = {p.name: p for p in (_QueueDepthPolicy,
                                           _BurnRatePolicy)}
+
+
+@dataclass(frozen=True)
+class AutoscaleConfig(Block):
+    """The scenario's ``autoscale`` block.
+
+    ``cluster`` is the shape of elastic replicas (a fleet-entry string:
+    registry name or ``hydra-SxC`` shorthand); ``fleets`` restricts the
+    block to the named fleets (None = every fleet in the scenario, the
+    static ones in a comparison scenario opt out by listing only the
+    elastic fleet).
+    """
+
+    block_path = "autoscale"
+
+    policy: str = spec("queue_depth", choices=AUTOSCALE_POLICIES)
+    cluster: str = spec("Hydra-M")
+    min_replicas: int = spec(0, min=0)
+    max_replicas: int = spec(4, min=1)
+    evaluation_interval_seconds: float = spec(5.0, gt=0)
+    warmup_seconds: float = spec(15.0, min=0)
+    hysteresis_seconds: float = spec(30.0, min=0)
+    scale_up_step: int = spec(1, min=1)
+    scale_down_step: int = spec(1, min=1)
+    up_threshold: float = spec(8.0)
+    down_threshold: float = spec(0.0)
+    fleets: Tuple[str, ...] = spec(None)  # None = all fleets
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_replicas < self.min_replicas:
+            raise ValueError(
+                "autoscale.max_replicas must be >= min_replicas"
+            )
+        if self.down_threshold >= self.up_threshold:
+            raise ValueError(
+                "autoscale.down_threshold must be strictly below "
+                "up_threshold (the hysteresis band)"
+            )
+
+    def applies_to(self, fleet_name):
+        return self.fleets is None or fleet_name in self.fleets
 
 
 def make_autoscale_policy(name):

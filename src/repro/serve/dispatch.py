@@ -50,6 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.serve.fields import Block, spec
+
 __all__ = [
     "BatchSchedule",
     "ClusterState",
@@ -95,48 +97,21 @@ class ServiceProfile:
 
 
 @dataclass(frozen=True)
-class RoutingConfig:
+class RoutingConfig(Block):
     """The scenario's ``routing`` block."""
 
-    mode: str = "greedy"
+    block_path = "routing"
+
+    mode: str = spec("greedy", choices=_ROUTING_MODES)
     #: required slack between a routed batch's completion and its
     #: tightest deadline before a cheaper cluster is considered safe
-    safety_margin_seconds: float = 0.0
+    safety_margin_seconds: float = spec(0.0, min=0)
     #: route decode batches to the cluster holding their session's KV
     #: ciphertexts (LLM tenants only; False = affinity-blind routing,
-    #: which migrates the KV cache over the host link on every switch)
-    session_affinity: bool = True
-
-    def __post_init__(self):
-        if self.mode not in _ROUTING_MODES:
-            raise ValueError(
-                f"unknown routing mode {self.mode!r}; "
-                f"choose from {_ROUTING_MODES}"
-            )
-        if self.safety_margin_seconds < 0:
-            raise ValueError(
-                "routing.safety_margin_seconds must be >= 0"
-            )
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            mode=data.get("mode", "greedy"),
-            safety_margin_seconds=float(
-                data.get("safety_margin_seconds", 0.0)),
-            session_affinity=bool(data.get("session_affinity", True)),
-        )
-
-    def to_dict(self):
-        data = {
-            "mode": self.mode,
-            "safety_margin_seconds": self.safety_margin_seconds,
-        }
-        # Emitted only when non-default so CNN-only reports (and their
-        # committed goldens) keep their exact bytes.
-        if not self.session_affinity:
-            data["session_affinity"] = False
-        return data
+    #: which migrates the KV cache over the host link on every switch).
+    #: Written only when off, so CNN-only reports (and their committed
+    #: goldens) keep their exact bytes.
+    session_affinity: bool = spec(True, omit_default=True)
 
 
 def select_cluster(plans, routing, tightest_deadline):

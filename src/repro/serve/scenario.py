@@ -40,23 +40,40 @@ session affinity (:class:`~repro.serve.dispatch.RoutingConfig`), the
 (:class:`~repro.serve.autoscale.AutoscaleConfig`).  ``kind: llm``
 tenants are autoregressive transformer sessions with seeded
 ``prompt_tokens`` / ``output_tokens`` distributions (see
-:mod:`repro.llm`).  Only the current schema loads; any other
-``schema`` value is rejected with a :class:`ValueError`.
+:mod:`repro.llm`).
+
+Each block states its fields once, in its dataclass declaration (see
+:mod:`repro.serve.fields`), and the loader enforces that table:
+
+* only the current ``schema`` loads;
+* unknown keys are rejected in every block, and missing required keys
+  (``name``, ``duration_seconds``, ``seed``, ``fleets``, ``tenants``,
+  a tenant's ``name`` and ``model``) are errors;
+* integer fields take JSON integers only; number fields take an integer
+  or a real but never a bool, a string, NaN or ±inf; booleans take
+  ``true`` / ``false`` only; strings are checked against their choices;
+* a CNN tenant's ``model`` must be a registered benchmark and an LLM
+  tenant's a transformer; fleet entries must resolve.
+
+Every failure is one :class:`ValueError` naming the field path
+(``tenants[0].arrival.rate_rps``, ``batch.max_requests``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Dict, Tuple
 
 from repro.ckks.params import PAPER_PARAMS
 from repro.hw.cluster import hydra_cluster
-from repro.serve.arrivals import finite_positive, validate_arrival
+from repro.models import BENCHMARKS
+from repro.serve.arrivals import ARRIVAL_PROCESSES, validate_arrival
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.dispatch import RoutingConfig
+from repro.serve.fields import Block, read_block, spec
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -92,14 +109,8 @@ _SHORTHAND = re.compile(r"^hydra-(\d+)x(\d+)$")
 
 
 def params_preset(name):
-    """Resolve a CKKS parameter preset name (see ``_PARAMS_PRESETS``)."""
-    try:
-        return _PARAMS_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown params preset {name!r}; "
-            f"available: {sorted(_PARAMS_PRESETS)}"
-        ) from None
+    """The CKKS parameters of a preset name (tenants check it at load)."""
+    return _PARAMS_PRESETS[name]
 
 
 def resolve_fleet_cluster(name):
@@ -121,7 +132,7 @@ def resolve_fleet_cluster(name):
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Block):
     """One tenant: a model + CKKS params + an open-loop arrival process.
 
     ``deadline_seconds`` is a per-request relative latency SLO; requests
@@ -137,51 +148,31 @@ class TenantSpec:
     deadline then covers the *whole* session (last token out).
     """
 
-    name: str
-    model: str
-    process: str = "poisson"
-    rate_rps: float = 1.0
-    params: str = "paper"
-    deadline_seconds: float = None
-    ciphertexts_in: int = 1
-    ciphertexts_out: int = 1
+    name: str = spec()
+    model: str = spec()
+    process: str = spec("poisson", choices=ARRIVAL_PROCESSES, at="arrival")
+    rate_rps: float = spec(1.0, gt=0, at="arrival")
+    params: str = spec("paper", choices=_PARAMS_PRESETS)
+    deadline_seconds: float = spec(None, gt=0)
+    ciphertexts_in: int = spec(1, min=1)
+    ciphertexts_out: int = spec(1, min=0)
     #: fraction of completions allowed to miss the deadline before the
     #: tenant's SLO burn-rate exceeds 1.0 (error-budget denominator)
-    slo_budget: float = 0.01
+    slo_budget: float = spec(0.01, gt=0, max=1)
     #: process-specific arrival options as a sorted, hashable tuple of
     #: ``(key, value)`` pairs (lists stored as tuples); see
     #: :func:`repro.serve.arrivals.validate_arrival` for the vocabulary
-    arrival_extra: tuple = ()
+    arrival_extra: tuple = spec((), free=True, at="arrival")
     #: "cnn" (single-phase request) | "llm" (prefill + decode session)
-    kind: str = "cnn"
+    kind: str = spec("cnn", choices=_TENANT_KINDS)
     #: token-count distribution specs as sorted ``(key, value)`` tuples
     #: (llm tenants only; empty = the sampler defaults)
-    prompt_tokens: tuple = ()
-    output_tokens: tuple = ()
+    prompt_tokens: tuple = spec((), free=True)
+    output_tokens: tuple = spec((), free=True)
 
     def __post_init__(self):
-        validate_arrival(self.name, self.process, self.rate_rps,
-                         self.arrival_options)
-        if self.kind not in _TENANT_KINDS:
-            raise ValueError(
-                f"tenant {self.name!r}: unknown kind {self.kind!r}; "
-                f"choose from {_TENANT_KINDS}"
-            )
-        if self.deadline_seconds is not None and not finite_positive(
-                self.deadline_seconds):
-            raise ValueError(
-                f"tenant {self.name!r}: deadline_seconds must be "
-                f"positive and finite, got {self.deadline_seconds!r}"
-            )
-        if self.ciphertexts_in < 1 or self.ciphertexts_out < 0:
-            raise ValueError(
-                f"tenant {self.name!r}: ciphertext counts out of range"
-            )
-        if not 0 < self.slo_budget <= 1:
-            raise ValueError(
-                f"tenant {self.name!r}: slo_budget must be in (0, 1]"
-            )
-        params_preset(self.params)  # fail fast on unknown presets
+        super().__post_init__()
+        validate_arrival(self.name, self.process, self.arrival_options)
         if self.kind == "llm":
             from repro.llm import LLM_MODELS, validate_token_distribution
 
@@ -199,6 +190,11 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: prompt_tokens/output_tokens "
                 f"need kind 'llm'"
+            )
+        elif self.model not in BENCHMARKS:
+            raise ValueError(
+                f"tenant {self.name!r}: unknown model {self.model!r}; "
+                f"choose from {', '.join(sorted(BENCHMARKS))}"
             )
 
     @property
@@ -235,60 +231,9 @@ class TenantSpec:
     def output_token_options(self):
         return dict(self.output_tokens)
 
-    @classmethod
-    def from_dict(cls, data):
-        arrival = dict(data.get("arrival", {}))
-        process = arrival.pop("process", "poisson")
-        rate_rps = float(arrival.pop("rate_rps", 1.0))
-        extra = tuple(sorted(
-            (key, tuple(value) if isinstance(value, list) else value)
-            for key, value in arrival.items()
-        ))
-        return cls(
-            name=data["name"],
-            model=data["model"],
-            process=process,
-            rate_rps=rate_rps,
-            params=data.get("params", "paper"),
-            deadline_seconds=data.get("deadline_seconds"),
-            ciphertexts_in=int(data.get("ciphertexts_in", 1)),
-            ciphertexts_out=int(data.get("ciphertexts_out", 1)),
-            slo_budget=float(data.get("slo_budget", 0.01)),
-            arrival_extra=extra,
-            kind=data.get("kind", "cnn"),
-            prompt_tokens=tuple(sorted(
-                data.get("prompt_tokens", {}).items())),
-            output_tokens=tuple(sorted(
-                data.get("output_tokens", {}).items())),
-        )
-
-    def to_dict(self):
-        arrival = {"process": self.process, "rate_rps": self.rate_rps}
-        for key, value in self.arrival_extra:
-            arrival[key] = list(value) if isinstance(value, tuple) \
-                else value
-        doc = {
-            "name": self.name,
-            "model": self.model,
-            "params": self.params,
-            "arrival": arrival,
-            "ciphertexts_in": self.ciphertexts_in,
-            "ciphertexts_out": self.ciphertexts_out,
-            "slo_budget": self.slo_budget,
-        }
-        if self.deadline_seconds is not None:
-            doc["deadline_seconds"] = self.deadline_seconds
-        if self.kind != "cnn":
-            doc["kind"] = self.kind
-        if self.prompt_tokens:
-            doc["prompt_tokens"] = self.prompt_token_options
-        if self.output_tokens:
-            doc["output_tokens"] = self.output_token_options
-        return doc
-
 
 @dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(Block):
     """Batch coalescing knobs.
 
     Compatible requests (same :attr:`TenantSpec.batch_key`) are packed
@@ -298,18 +243,14 @@ class BatchConfig:
     ``window_seconds``.
     """
 
-    max_requests: int = 4
-    window_seconds: float = 2.0
+    block_path = "batch"
 
-    def __post_init__(self):
-        if self.max_requests < 1:
-            raise ValueError("batch.max_requests must be >= 1")
-        if not 0 <= self.window_seconds < math.inf:
-            raise ValueError("batch.window_seconds must be >= 0 and finite")
+    max_requests: int = spec(4, min=1)
+    window_seconds: float = spec(2.0, min=0)
 
 
 @dataclass(frozen=True)
-class Overheads:
+class Overheads(Block):
     """Host-side staging costs of one dispatched batch.
 
     ``batch_setup_seconds`` models per-batch host orchestration (program
@@ -320,22 +261,14 @@ class Overheads:
     amortization up to the batch cap.
     """
 
-    batch_setup_seconds: float = 0.1
-    compute_per_extra_request: float = 0.0
+    block_path = "overheads"
 
-    def __post_init__(self):
-        if not 0 <= self.batch_setup_seconds < math.inf:
-            raise ValueError(
-                "overheads.batch_setup_seconds must be >= 0 and finite"
-            )
-        if not 0 <= self.compute_per_extra_request < math.inf:
-            raise ValueError(
-                "overheads.compute_per_extra_request must be >= 0 and finite"
-            )
+    batch_setup_seconds: float = spec(0.1, min=0)
+    compute_per_extra_request: float = spec(0.0, min=0)
 
 
 @dataclass(frozen=True)
-class TelemetryConfig:
+class TelemetryConfig(Block):
     """Streaming-telemetry sizing knobs (the report's memory bound).
 
     ``num_windows`` fixes how many aligned time windows the report's
@@ -344,28 +277,34 @@ class TelemetryConfig:
     ``recorder_events`` sizes the flight-recorder ring (in events).
     """
 
-    num_windows: int = 60
-    recorder_events: int = 512
+    block_path = "telemetry"
 
-    def __post_init__(self):
-        if self.num_windows < 1:
-            raise ValueError("telemetry.num_windows must be >= 1")
-        if self.recorder_events < 1:
-            raise ValueError("telemetry.recorder_events must be >= 1")
+    num_windows: int = spec(60, min=1)
+    recorder_events: int = spec(512, min=1)
+
+
+def _check_fleet_entry(entry, path):
+    """A fleet entry must resolve (registry name or shorthand)."""
+    try:
+        resolve_fleet_cluster(entry)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Block):
     """One complete serving experiment description."""
 
-    name: str
-    duration_seconds: float
-    seed: int
-    tenants: tuple
-    fleets: dict  # fleet name -> tuple of fleet-entry strings
-    policy: str = "fifo"
-    dispatch: str = "pipelined"
-    max_queue: int = 64
+    name: str = spec()
+    duration_seconds: float = spec(gt=0)
+    #: NumPy seed material, which must be non-negative
+    seed: int = spec(min=0)
+    tenants: Tuple[TenantSpec, ...] = spec(nonempty=True)
+    #: fleet name -> tuple of fleet-entry strings
+    fleets: Dict[str, Tuple[str, ...]] = spec(nonempty=True)
+    policy: str = spec("fifo", choices=_POLICY_NAMES)
+    dispatch: str = spec("pipelined", choices=_DISPATCH_MODES)
+    max_queue: int = spec(64, min=1)
     batch: BatchConfig = field(default_factory=BatchConfig)
     overheads: Overheads = field(default_factory=Overheads)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -373,27 +312,7 @@ class Scenario:
     autoscale: AutoscaleConfig = None
 
     def __post_init__(self):
-        if not finite_positive(self.duration_seconds):
-            raise ValueError(
-                f"duration_seconds must be positive and finite, got "
-                f"{self.duration_seconds!r}"
-            )
-        if self.policy not in _POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; "
-                f"choose from {_POLICY_NAMES}"
-            )
-        if self.dispatch not in _DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {self.dispatch!r}; "
-                f"choose from {_DISPATCH_MODES}"
-            )
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        if not self.tenants:
-            raise ValueError("scenario needs at least one tenant")
-        if not self.fleets:
-            raise ValueError("scenario needs at least one fleet")
+        super().__post_init__()
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             seen, duplicates = set(), []
@@ -415,10 +334,10 @@ class Scenario:
         for fleet, entries in self.fleets.items():
             if not entries:
                 raise ValueError(f"fleet {fleet!r} has no clusters")
-            for entry in entries:
-                resolve_fleet_cluster(entry)  # fail fast
+            for i, entry in enumerate(entries):
+                _check_fleet_entry(entry, f"fleets.{fleet}[{i}]")
         if self.autoscale is not None:
-            resolve_fleet_cluster(self.autoscale.cluster)  # fail fast
+            _check_fleet_entry(self.autoscale.cluster, "autoscale.cluster")
             if self.autoscale.fleets is not None:
                 missing = [f for f in self.autoscale.fleets
                            if f not in self.fleets]
@@ -431,14 +350,7 @@ class Scenario:
     def override(self, seed=None, duration=None, dispatch=None,
                  policy=None):
         """A copy with CLI-level overrides applied (None = keep)."""
-        import dataclasses
-
-        if duration is not None and not finite_positive(float(duration)):
-            raise ValueError(
-                f"duration override must be positive and finite, got "
-                f"{duration!r}"
-            )
-        return dataclasses.replace(
+        return replace(
             self,
             seed=self.seed if seed is None else int(seed),
             duration_seconds=(self.duration_seconds if duration is None
@@ -449,72 +361,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data, source="scenario"):
-        if not isinstance(data, dict):
-            raise ValueError(f"{source}: scenario must be a JSON object")
-        schema = data.get("schema")
-        if schema != SCENARIO_SCHEMA:
-            raise ValueError(
-                f"{source}: unsupported scenario schema {schema!r} "
-                f"(expected {SCENARIO_SCHEMA!r})"
-            )
-        batch = BatchConfig(**data.get("batch", {}))
-        overheads = Overheads(**data.get("overheads", {}))
-        telemetry = TelemetryConfig(**data.get("telemetry", {}))
-        routing = RoutingConfig.from_dict(data.get("routing", {}))
-        autoscale = (None if data.get("autoscale") is None
-                     else AutoscaleConfig.from_dict(data["autoscale"]))
-        fleets = {
-            str(name): tuple(entries)
-            for name, entries in data["fleets"].items()
-        }
-        tenants = tuple(
-            TenantSpec.from_dict(t) for t in data["tenants"]
-        )
-        return cls(
-            name=data["name"],
-            duration_seconds=float(data["duration_seconds"]),
-            seed=int(data["seed"]),
-            tenants=tenants,
-            fleets=fleets,
-            policy=data.get("policy", "fifo"),
-            dispatch=data.get("dispatch", "pipelined"),
-            max_queue=int(data.get("max_queue", 64)),
-            batch=batch,
-            overheads=overheads,
-            telemetry=telemetry,
-            routing=routing,
-            autoscale=autoscale,
-        )
+        """Read a scenario document; raises only :class:`ValueError`."""
+        try:
+            if not isinstance(data, dict):
+                raise ValueError("scenario must be a JSON object")
+            data = dict(data)
+            schema = data.pop("schema", None)
+            if schema != SCENARIO_SCHEMA:
+                raise ValueError(
+                    f"unsupported scenario schema {schema!r} "
+                    f"(expected {SCENARIO_SCHEMA!r})"
+                )
+            return read_block(cls, data)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def to_dict(self):
-        doc = {
-            "schema": SCENARIO_SCHEMA,
-            "name": self.name,
-            "duration_seconds": self.duration_seconds,
-            "seed": self.seed,
-            "policy": self.policy,
-            "dispatch": self.dispatch,
-            "max_queue": self.max_queue,
-            "batch": {
-                "max_requests": self.batch.max_requests,
-                "window_seconds": self.batch.window_seconds,
-            },
-            "overheads": {
-                "batch_setup_seconds": self.overheads.batch_setup_seconds,
-                "compute_per_extra_request":
-                    self.overheads.compute_per_extra_request,
-            },
-            "telemetry": {
-                "num_windows": self.telemetry.num_windows,
-                "recorder_events": self.telemetry.recorder_events,
-            },
-            "routing": self.routing.to_dict(),
-            "fleets": {name: list(v) for name, v in self.fleets.items()},
-            "tenants": [t.to_dict() for t in self.tenants],
-        }
-        if self.autoscale is not None:
-            doc["autoscale"] = self.autoscale.to_dict()
-        return doc
+        return {"schema": SCENARIO_SCHEMA, **super().to_dict()}
 
 
 def builtin_scenarios():
@@ -567,7 +430,6 @@ def validate_scenario_files(directory=None):
             if reparsed != scenario:
                 raise ValueError("to_dict/from_dict round-trip drifted")
             rows.append((path.name, None))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) \
-                as exc:
+        except ValueError as exc:  # json.JSONDecodeError included
             rows.append((path.name, str(exc)))
     return rows

@@ -152,6 +152,16 @@ class TestCli:
         assert "total time" in cap.text
         assert "ConvBN" in cap.text
 
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["-s", "Bogus", "-b", "resnet18"], "unknown system 'Bogus'"),
+        (["-s", "Hydra-S", "-b", "bogus"], "unknown benchmark 'bogus'"),
+    ])
+    def test_run_unknown_name(self, argv, message):
+        cap = _Capture()
+        assert main(["run", *argv], out=cap) == 2
+        assert len(cap.lines) == 1, cap.lines
+        assert cap.lines[0].startswith(f"error: {message}"), cap.lines
+
     def test_resources(self):
         cap = _Capture()
         assert main(["resources"], out=cap) == 0

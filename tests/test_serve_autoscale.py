@@ -25,6 +25,7 @@ from repro.serve import (
     simulate_fleet,
 )
 from repro.serve.dispatch import BatchSchedule, ClusterState
+from repro.serve.fields import read_block
 from repro.serve.scenario import (
     BatchConfig,
     Overheads,
@@ -62,7 +63,8 @@ class TestConfig:
     def test_round_trip(self):
         config = _config(policy="burn_rate", up_threshold=1.5,
                          down_threshold=0.25, fleets=("elastic",))
-        assert AutoscaleConfig.from_dict(config.to_dict()) == config
+        assert read_block(AutoscaleConfig, config.to_dict(),
+                          "autoscale") == config
 
     def test_fleet_scoping(self):
         assert _config().applies_to("anything")

@@ -17,7 +17,7 @@ from repro.serve import (
     make_policy,
     resolve_fleet_cluster,
 )
-from repro.serve.scenario import BatchConfig
+from repro.serve.scenario import BatchConfig, Overheads, TelemetryConfig
 
 
 def _tenant(name="t0", **kw):
@@ -93,7 +93,7 @@ class TestScenario:
             _tenant(process="bursty")
         with pytest.raises(ValueError, match="rate_rps"):
             _tenant(rate_rps=0.0)
-        with pytest.raises(KeyError, match="params preset"):
+        with pytest.raises(ValueError, match="unknown params 'toy'"):
             _tenant(params="toy")
 
 
@@ -160,6 +160,85 @@ class TestNonFiniteNumbers:
         assert main(["serve", str(path)], out=lines.append) == 2
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: "), lines
+
+
+def _set(doc, path, value):
+    """Set ``doc[path[0]][path[1]]... = value``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _drop(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
+#: Malformed scenario documents: (base scenario, mutation, field path
+#: the one error line must name).  Each loaded with a traceback, loaded
+#: and crashed mid-run, or loaded silently coerced before the field
+#: table.
+_MALFORMED = [
+    ("steady_hydra_m", lambda d: _set(d, ["tenants"], [1]), "tenants[0]"),
+    ("steady_hydra_m", lambda d: _set(d, ["fleets"], ["Hydra-M"]),
+     "fleets"),
+    ("steady_hydra_m", lambda d: _set(d, ["batch"], [1]), "batch"),
+    ("steady_hydra_m", lambda d: _set(d, ["batch"], {"bogus": 1}),
+     "batch.bogus"),
+    ("steady_hydra_m", lambda d: _set(d, ["batch", "max_requests"], 1.5),
+     "batch.max_requests"),
+    ("steady_hydra_m",
+     lambda d: _set(d, ["tenants", 0, "deadline_seconds"], "soon"),
+     "tenants[0].deadline_seconds"),
+    ("steady_hydra_m",
+     lambda d: _set(d, ["tenants", 0, "arrival", "rate_rps"], None),
+     "tenants[0].arrival.rate_rps"),
+    ("llm_mixed",
+     lambda d: _set(d, ["tenants", 1, "output_tokens", "mean"], "x"),
+     "output_tokens.mean"),
+    ("llm_mixed", lambda d: _set(d, ["tenants", 1, "prompt_tokens"], 5),
+     "tenants[1].prompt_tokens"),
+    ("steady_hydra_m",
+     lambda d: _set(d, ["routing", "session_affinity"], "no"),
+     "routing.session_affinity"),
+    ("steady_hydra_m", lambda d: _set(d, ["seed"], 1.7), "seed"),
+    ("steady_hydra_m", lambda d: _set(d, ["max_queue"], True), "max_queue"),
+    ("steady_hydra_m",
+     lambda d: _set(d, ["tenants", 0, "ciphertexts_in"], 1.5),
+     "tenants[0].ciphertexts_in"),
+    ("steady_hydra_m", lambda d: _set(d, ["duration_seconds"], "240"),
+     "duration_seconds"),
+    ("steady_hydra_m", lambda d: _set(d, ["duration_seconds"], 10 ** 400),
+     "duration_seconds must be positive and finite"),
+    ("steady_hydra_m", lambda d: _set(d, ["max_qeue"], 4), "max_qeue"),
+    ("steady_hydra_m", lambda d: _drop(d, ["fleets"]), "fleets is required"),
+    ("steady_hydra_m", lambda d: _set(d, ["tenants", 0, "model"], "bogus"),
+     "unknown model 'bogus'"),
+]
+
+
+class TestMalformedScenarios:
+    """Each malformed field is one ``ValueError`` naming its path, and
+    ``repro serve`` turns it into one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(("base", "mutate", "path"), _MALFORMED,
+                             ids=[case[2] for case in _MALFORMED])
+    def test_scenario_file(self, tmp_path, base, mutate, path):
+        from repro.core.cli import main
+
+        doc = json.loads(json.dumps(load_scenario(base).to_dict()))
+        mutate(doc)
+        with pytest.raises(ValueError) as info:
+            Scenario.from_dict(doc)
+        assert path in str(info.value)
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        lines = []
+        assert main(["serve", str(file)], out=lines.append) == 2
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: "), lines
+        assert path in lines[0]
 
 
 class TestArrivals:
@@ -276,3 +355,7 @@ class TestPercentile:
             BatchConfig(max_requests=0)
         with pytest.raises(ValueError):
             BatchConfig(window_seconds=-1.0)
+        with pytest.raises(ValueError, match="overheads.batch_setup"):
+            Overheads(batch_setup_seconds=float("nan"))
+        with pytest.raises(ValueError, match="telemetry.num_windows"):
+            TelemetryConfig(num_windows=0)
